@@ -397,11 +397,11 @@ def cmd_serve(args, out):
                     recorder=expo.recorder,
                     extra_fn=lambda: {"health": expo.health()},
                 ).start()
-        print("hidden component serving on %s:%d" % server.address, file=out)
-        print("programs: %s" % ", ".join(server.programs), file=out)
         # SIGTERM drains gracefully: stop accepting, finish in-flight
         # calls, then fall through to the telemetry flush.  SIGINT (and a
         # second SIGTERM) still aborts immediately via KeyboardInterrupt.
+        # Installed before the address is printed, so a SIGTERM sent the
+        # moment a supervisor sees the address drains too.
         def _drain(signum, frame):
             signal.signal(signal.SIGTERM, previous)
             server.drain()
@@ -411,6 +411,9 @@ def cmd_serve(args, out):
         except ValueError:  # not the main thread (tests drive main())
             previous = None
         try:
+            print("hidden component serving on %s:%d" % server.address,
+                  file=out)
+            print("programs: %s" % ", ".join(server.programs), file=out)
             server.serve_forever()
         except KeyboardInterrupt:
             pass

@@ -12,19 +12,18 @@ only in execution strategy must also agree on the fine-grained accounting:
   open/hidden step counts, round-trip counts, and transcript event-kind
   sequences (the engines are documented bit-identical, docs/ENGINE.md);
 * ``socket-*`` — the real TCP transport must carry exactly the traffic
-  the simulated channel accounts for (plus the one ``hello`` handshake
-  round trip when batching is on, docs/PROTOCOL.md);
+  the simulated channel accounts for; the capability ``hello`` that
+  turns batching, tracing or the cache on is uncounted
+  (docs/PROTOCOL.md);
 * ``socket-compiled-traced`` — distributed tracing on (``--trace``):
   trace context and phase measurement must not change behaviour *or*
   accounting, so its round-trip count is checked against the untraced
-  ``split-compiled`` cell with no handshake allowance at all (the trace
-  hello is deliberately uncounted, docs/PROTOCOL.md);
+  ``split-compiled`` cell;
 * ``split-cache`` / ``split-cache-codegen`` / ``socket-cache`` — the
   fragment result cache on (``--cache on``, docs/CACHING.md): hits must
   be bit-identical to real executions, so the cache cells are held to
   the engine-equivalence bar (steps *and* transcript kinds) against
-  their uncached counterparts, and the socket cell's cache hello is
-  uncounted like the trace hello.
+  their uncached counterparts.
 
 A program whose automatic selection finds nothing to split (or where an
 explicit choice raises ``SplitError``) skips the split configurations —
@@ -99,26 +98,24 @@ CONFIGS = (
 CONFIG_NAMES = tuple(c.name for c in CONFIGS)
 
 #: accounting cross-checks between configurations that must carry the
-#: same traffic: (left, right, hello_delta) — left's round-trip count
-#: must equal right's plus ``hello_delta``
+#: same traffic: (left, right) — equal round-trip counts
 _TRAFFIC_PAIRS = (
-    ("split-ast", "split-compiled", 0),
-    ("split-ast-batch", "split-compiled-batch", 0),
-    ("socket-ast", "split-ast", 0),
-    ("socket-compiled", "split-compiled", 0),
-    ("split-codegen", "split-compiled", 0),
-    ("split-codegen-batch", "split-compiled-batch", 0),
-    ("socket-codegen", "split-codegen", 0),
-    ("socket-compiled-batch", "split-compiled-batch", 1),
-    # tracing rides in frame fields and an uncounted handshake frame, so a
-    # traced run's accounting is identical to the plain socket run's
-    ("socket-compiled-traced", "split-compiled", 0),
+    ("split-ast", "split-compiled"),
+    ("split-ast-batch", "split-compiled-batch"),
+    ("socket-ast", "split-ast"),
+    ("socket-compiled", "split-compiled"),
+    ("split-codegen", "split-compiled"),
+    ("split-codegen-batch", "split-compiled-batch"),
+    ("socket-codegen", "split-codegen"),
+    ("socket-compiled-batch", "split-compiled-batch"),
+    # tracing rides in frame fields and the uncounted hello, so a traced
+    # run's accounting is identical to the plain socket run's
+    ("socket-compiled-traced", "split-compiled"),
     # caching must not change traffic at all: hits replay the very round
-    # trips a real execution performs, and the socket cell's cache hello
-    # is uncounted like the trace hello (docs/CACHING.md)
-    ("split-cache", "split-compiled", 0),
-    ("split-cache-codegen", "split-codegen", 0),
-    ("socket-cache", "split-cache", 0),
+    # trips a real execution performs (docs/CACHING.md)
+    ("split-cache", "split-compiled"),
+    ("split-cache-codegen", "split-codegen"),
+    ("socket-cache", "split-cache"),
 )
 
 
@@ -278,15 +275,14 @@ def _diff_accounting(result, present, args):
             found.append(Divergence(
                 eng_pair[0], eng_pair[1], "transcript",
                 "event kinds %r vs %r" % (a.kinds, b.kinds), args))
-    for left, right, hello in _TRAFFIC_PAIRS:
+    for left, right in _TRAFFIC_PAIRS:
         a, b = present.get(left), present.get(right)
         if a is None or b is None or a.error or b.error:
             continue
-        if a.interactions != b.interactions + hello:
+        if a.interactions != b.interactions:
             found.append(Divergence(
                 left, right, "interactions",
-                "%d vs %d (+%d handshake)"
-                % (a.interactions, b.interactions, hello), args))
+                "%d vs %d" % (a.interactions, b.interactions), args))
     return found
 
 

@@ -1,21 +1,21 @@
 """One synthetic client: the wire protocol with zeros for values.
 
 Speaks the real protocol (docs/PROTOCOL.md) against a live daemon:
-handshake, optional program selection, then the scripted ops — answering
+handshake, optional capability ``hello``, then the scripted ops — answering
 any server callbacks with zeros along the way — while measuring the wall
 time of every answered round trip.
 """
 
 import contextlib
-import socket
 import threading
 import time
 
 from repro.runtime.remote import (
     ChannelError,
-    ChannelProtocolError,
+    ConnectionPolicy,
     _recv,
     _send,
+    open_session,
 )
 
 #: connect retries per client (accept backlog under heavy fan-out)
@@ -71,7 +71,7 @@ class SyntheticClient:
     def run(self):
         result = ClientResult()
         try:
-            sock, rfile, wfile, facts = self._connect()
+            session = self._connect()
         except (ChannelError, OSError) as exc:
             result.protocol_errors += 1
             result._note_error(exc)
@@ -80,11 +80,12 @@ class SyntheticClient:
                 with contextlib.suppress(threading.BrokenBarrierError):
                     self.barrier.wait(timeout=self.timeout_s)
             return result
+        sock, rfile, wfile = session.sock, session.rfile, session.wfile
         functions = {
             str(name): fn_id
-            for name, fn_id in (facts.get("functions") or {}).items()
+            for name, fn_id in (session.facts.get("functions") or {}).items()
         }
-        classes = set(facts.get("classes") or ())
+        classes = set(session.facts.get("classes") or ())
         try:
             if self.barrier is not None:
                 self.barrier.wait(timeout=self.timeout_s)
@@ -106,54 +107,14 @@ class SyntheticClient:
     # -- plumbing --------------------------------------------------------------
 
     def _connect(self):
-        last = None
-        backoff = _CONNECT_BACKOFF_S
-        for attempt in range(_CONNECT_ATTEMPTS):
-            if attempt:
-                time.sleep(backoff)
-                backoff *= 2
-            sock = None
-            try:
-                sock = socket.create_connection(
-                    self.address, timeout=self.timeout_s)
-                sock.settimeout(self.timeout_s)
-                rfile = sock.makefile("rb")
-                wfile = sock.makefile("wb")
-                handshake = _recv(rfile)
-                if "error" in handshake:
-                    raise ChannelError(
-                        "server refused connection: %s" % handshake["error"])
-                facts = handshake
-                if self.program is not None:
-                    if "programs" not in handshake:
-                        raise ChannelProtocolError(
-                            "server does not serve named programs")
-                    _send(wfile, {"op": "hello", "program": self.program})
-                    reply = _recv(rfile)
-                    if "error" in reply:
-                        raise ChannelProtocolError(
-                            "program selection failed: %s" % reply["error"])
-                    picked = reply.get("result")
-                    facts = picked if isinstance(picked, dict) else {}
-                if self.cache:
-                    # same negotiation a real client performs; a daemon
-                    # serving --cache off answers without enabling and the
-                    # replay proceeds uncached (docs/CACHING.md)
-                    _send(wfile, {"op": "hello", "cache": True})
-                    reply = _recv(rfile)
-                    if "error" in reply:
-                        raise ChannelProtocolError(
-                            "cache negotiation failed: %s" % reply["error"])
-                return sock, rfile, wfile, facts
-            except (ChannelError, OSError) as exc:
-                last = exc
-                if sock is not None:
-                    with contextlib.suppress(OSError):
-                        sock.close()
-                if isinstance(exc, ChannelProtocolError):
-                    break  # not transient; retrying cannot help
-        raise last if isinstance(last, ChannelError) else ChannelError(
-            "could not connect to %r: %s" % (self.address, last))
+        # the same negotiation a real client performs; a daemon serving
+        # --cache off answers without enabling and the replay proceeds
+        # uncached (docs/CACHING.md)
+        policy = ConnectionPolicy(timeout_s=self.timeout_s,
+                                  connect_retries=_CONNECT_ATTEMPTS,
+                                  retry_backoff_s=_CONNECT_BACKOFF_S)
+        return open_session(self.address, policy,
+                            {"program": self.program, "cache": self.cache})
 
     def _replay_once(self, rfile, wfile, functions, classes, result):
         hid_stack = []

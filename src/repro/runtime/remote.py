@@ -16,17 +16,18 @@ implementation of it.
 
 The server side is a *multi-tenant daemon*: it can load many exported
 programs concurrently, each client session binds to exactly one of them
-(the handshake's ``program`` selection, protocol revision 3), and every
-session gets its own instance-id namespace so tenants cannot observe each
-other.  Operational behaviour — connection limits, per-session
-backpressure, idle timeouts, and graceful drain on SIGTERM — is
-documented in ``docs/OPERATIONS.md``.
+(the ``program`` field of the capability ``hello``), and every session
+gets its own instance-id namespace so tenants cannot observe each other.
+Operational behaviour — connection limits, per-session backpressure,
+idle timeouts, and graceful drain on SIGTERM — is documented in
+``docs/OPERATIONS.md``.
 
 Use :func:`remote_server` (context manager, serves in a daemon thread) for
 tests and demos, or :class:`HiddenComponentServer` directly for a
 standalone process.
 """
 
+import collections
 import contextlib
 import json
 import os
@@ -45,7 +46,15 @@ from repro.runtime.splitrun import RunResult
 from repro.runtime.values import RuntimeErr
 
 #: protocol revision announced in the server handshake (docs/PROTOCOL.md)
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
+
+#: longest frame either side reads, newline included: 4 MiB, far above
+#: the largest real frame.  A full 1024-message ``batch`` of traced calls
+#: with four full-precision floats each is about 200 KB; the largest
+#: program directory of the Table 5 corpora is under 1 KB.  A longer line
+#: is refused with a typed error and the session closed, so a peer cannot
+#: grow memory without bound by never sending a newline.
+MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
 M_CLIENTS = "repro_remote_clients"
@@ -99,20 +108,24 @@ def _send(wfile, payload):
 
 def _readline(rfile):
     try:
-        line = rfile.readline()
+        line = rfile.readline(MAX_FRAME_BYTES + 1)
     except socket.timeout:
         raise ChannelTimeout("no frame within the read timeout")
     except OSError as exc:
         raise ChannelError("connection failed: %s" % exc)
-    if not line:
-        raise ChannelError("connection closed")
+    if len(line) > MAX_FRAME_BYTES:
+        raise ChannelProtocolError(
+            "frame exceeds %d bytes" % MAX_FRAME_BYTES)
+    if not line.endswith(b"\n"):
+        raise ChannelError("connection closed" if not line
+                           else "connection closed mid-frame")
     return line
 
 
 def _parse_frame(line):
     try:
         return json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ChannelProtocolError("malformed frame: %s" % exc)
 
 
@@ -128,7 +141,7 @@ def _new_trace_id():
 def _frame_tc(msg):
     """The ``tc`` trace context of a frame as ``(trace_id, cseq)``, or
     ``None`` when absent/malformed (old peers, untraced clients)."""
-    tc = msg.get("tc")
+    tc = msg.get("tc") if type(msg) is dict else None
     if isinstance(tc, (list, tuple)) and len(tc) == 2:
         return tc[0], tc[1]
     return None
@@ -159,6 +172,32 @@ def _phase_split(t0, t_sent, t_line, t_parsed, echoed_us):
     }
 
 
+#: the JSON types of MiniJava scalars, the only values that cross the wire
+_SCALARS = frozenset((int, float, bool))
+
+
+def _check_scalars(values, what):
+    """Refuse (:class:`RuntimeErr`) a value that is not a MiniJava scalar:
+    a peer's frame must not put anything else into hidden state."""
+    for value in values:
+        if type(value) not in _SCALARS:
+            raise RuntimeErr("%s must hold only numbers and booleans, not %r"
+                             % (what, value))
+
+
+def _facts(tenant):
+    """What a client needs to know about the program its session runs:
+    split classes, one-way calls, and the ``functions`` name -> id map a
+    log-replay client resolves recorded names with."""
+    return {
+        "classes": sorted(tenant.hidden_field_classes),
+        "deferrable": {
+            str(fn_id): labels for fn_id, labels in tenant.deferrable.items()
+        },
+        "functions": dict(tenant.functions),
+    }
+
+
 class _SocketAccess:
     """Server-side proxy for open-component memory: every access becomes a
     callback message to the connected client."""
@@ -172,14 +211,20 @@ class _SocketAccess:
         self.callbacks += 1
         _send(self.wfile, payload)
         reply = _recv(self.rfile)
+        if type(reply) is not dict:
+            raise RuntimeErr("client-side access failed: malformed answer")
         if "error" in reply:
             raise RuntimeErr("client-side access failed: %s" % reply["error"])
         return reply
 
+    def _fetch(self, payload):
+        value = self._round_trip(payload).get("value")
+        _check_scalars((value,), "client-side access failed: the %s "
+                       "answer" % payload["cb"])
+        return value
+
     def fetch_index(self, name, index):
-        return self._round_trip(
-            {"cb": "fetch_index", "name": name, "index": index}
-        ).get("value")
+        return self._fetch({"cb": "fetch_index", "name": name, "index": index})
 
     def store_index(self, name, index, value):
         self._round_trip(
@@ -187,9 +232,7 @@ class _SocketAccess:
         )
 
     def fetch_field(self, name, field):
-        return self._round_trip(
-            {"cb": "fetch_field", "name": name, "field": field}
-        ).get("value")
+        return self._fetch({"cb": "fetch_field", "name": name, "field": field})
 
     def store_field(self, name, field, value):
         self._round_trip(
@@ -200,7 +243,12 @@ class _SocketAccess:
         reply = self._round_trip(
             {"cb": "fetch_batch", "items": [list(item) for item in items]}
         )
-        return reply.get("values", [])
+        values = reply.get("values")
+        if type(values) is not list:
+            raise RuntimeErr("client-side access failed: no value list")
+        _check_scalars(values, "client-side access failed: the "
+                       "fetch_batch answer")
+        return values
 
 
 class HiddenComponentServer:
@@ -266,6 +314,8 @@ class HiddenComponentServer:
         #: program -> aggregated cache counters of *finished* sessions
         self.cache_stats = {}
         self._sock = socket.create_server((host, port))
+        # accept() wakes every 0.2 s to notice shutdown/drain
+        self._sock.settimeout(0.2)
         self.address = self._sock.getsockname()
         self._stop = threading.Event()
         self._draining = threading.Event()
@@ -294,18 +344,9 @@ class HiddenComponentServer:
 
     def _handshake(self):
         # the handshake carries the *default* program's facts (old clients
-        # never select one) plus the program directory; `functions` lets a
-        # log-replay client resolve recorded function names to ids
-        d = self._default
-        return {
-            "proto": PROTOCOL_VERSION,
-            "classes": sorted(d.hidden_field_classes),
-            "deferrable": {
-                str(fn_id): labels for fn_id, labels in d.deferrable.items()
-            },
-            "programs": list(self._tenants),
-            "functions": dict(d.functions),
-        }
+        # never select one) plus the program directory
+        return {"proto": PROTOCOL_VERSION, "programs": list(self._tenants),
+                **_facts(self._default)}
 
     def _new_inner(self, tenant):
         return self._pin_recorder(tenant.new_server(
@@ -357,7 +398,6 @@ class HiddenComponentServer:
         """Accept clients until :meth:`shutdown` or :meth:`drain`; one
         thread per client, each with its own hidden state (a fresh
         deployment per session)."""
-        self._sock.settimeout(0.2)
         threads = []
         while not (self._stop.is_set() or self._draining.is_set()):
             try:
@@ -465,15 +505,21 @@ class _ClientSession:
     def run(self):
         server = self.server
         conn = self.conn
+        rfile = conn.makefile("rb")
+        wfile = conn.makefile("wb")
         try:
             if server.idle_timeout_s is not None:
                 conn.settimeout(server.idle_timeout_s)
-            rfile = conn.makefile("rb")
-            wfile = conn.makefile("wb")
             # handshake: protocol revision, the default program's split
             # classes and one-way calls, and the program directory
             _send(wfile, server._handshake())
             self._loop(rfile, wfile)
+        except ChannelProtocolError as exc:
+            # not a JSON line (malformed or oversized): the line boundary
+            # can no longer be trusted, so say why and close
+            with contextlib.suppress(OSError):
+                _send(wfile, {"error": str(exc)})
+            server._count_session_error("malformed")
         except ChannelTimeout:
             server._count_session_error("idle_timeout")
         except (RuntimeErr, OSError):
@@ -540,7 +586,7 @@ class _ClientSession:
                 self._in_flight = True
             try:
                 tc = _frame_tc(msg)
-                op = str(msg.get("op"))
+                op = str(msg.get("op") if type(msg) is dict else None)
                 t0 = time.perf_counter()
                 # tag everything recorded while dispatching (fragment
                 # events, spans, the recv/send pair below) with the
@@ -554,7 +600,8 @@ class _ClientSession:
                     if recorder is not None:
                         recorder.record("server_recv", op=op)
                     try:
-                        result = self._dispatch(msg, rfile, wfile, recorder)
+                        result = _checked(msg)(self, msg, rfile, wfile,
+                                               recorder)
                     except RuntimeErr as exc:
                         if recorder is not None:
                             recorder.record(
@@ -628,7 +675,7 @@ class _ClientSession:
         return self.inner
 
     def _select_program(self, name):
-        tenant = self.server._tenants.get(str(name))
+        tenant = self.server._tenants.get(name)
         if tenant is None:
             raise RuntimeErr(
                 "unknown program %r (serving: %s)"
@@ -645,87 +692,117 @@ class _ClientSession:
             )
         if self.tenant is None:
             self._bind(tenant)
-        return {
-            "ok": True,
-            "classes": sorted(tenant.hidden_field_classes),
-            "deferrable": {
-                str(fn_id): labels
-                for fn_id, labels in tenant.deferrable.items()
-            },
-            "functions": dict(tenant.functions),
-        }
 
     # -- dispatch --------------------------------------------------------------
 
-    def _dispatch(self, msg, rfile, wfile, recorder=None):
-        op = msg.get("op")
-        if op == "open":
-            inner = self._ensure_bound()
-            receiver = _Oid(msg["oid"]) if msg.get("oid") is not None else None
-            return inner.open_activation(msg["fn_id"], receiver=receiver)
-        if op == "close":
-            self._ensure_bound().close_activation(msg["hid"])
-            return None
-        if op == "call":
-            inner = self._ensure_bound()
-            access = _SocketAccess(rfile, wfile)
-            return inner.call(msg["hid"], msg["label"], msg["values"], access)
-        if op == "new_instance":
-            inner = self._ensure_bound()
-            inner.instances[msg["oid"]] = dict(
-                inner.hidden_field_classes[msg["class"]]
+    def _op_open(self, msg, *_):
+        receiver = _Oid(msg["oid"]) if "oid" in msg else None
+        return self._ensure_bound().open_activation(msg["fn_id"],
+                                                    receiver=receiver)
+
+    def _op_close(self, msg, *_):
+        self._ensure_bound().close_activation(msg["hid"])
+
+    def _op_call(self, msg, rfile, wfile, _recorder):
+        _check_scalars(msg["values"], "op 'call': field 'values'")
+        return self._ensure_bound().call(msg["hid"], msg["label"],
+                                         msg["values"],
+                                         _SocketAccess(rfile, wfile))
+
+    def _op_new_instance(self, msg, *_):
+        inner = self._ensure_bound()
+        fields = inner.hidden_field_classes.get(msg["class"])
+        if fields is None:
+            raise RuntimeErr("unknown split class %r" % msg["class"])
+        inner.instances[msg["oid"]] = dict(fields)
+        return msg["oid"]
+
+    def _op_hello(self, msg, *_):
+        # capability negotiation (docs/PROTOCOL.md): every requested field
+        # is applied in one pass — program selection binds the session to
+        # a tenant, batching turns on the server half (fetch_batch
+        # callbacks), cache asks for a session fragment cache, honoured
+        # only under the daemon's --cache policy — and one merged reply
+        # carries the program facts, the cache grant, and this server's
+        # event-timebase epoch for trace clock alignment
+        if "program" in msg:
+            self._select_program(msg["program"])
+        if "batching" in msg:
+            self.batching = msg["batching"]
+            if self.inner is not None:
+                self.inner.batching = self.batching
+        if "cache" in msg:
+            self.cache = msg["cache"] and self.server.cache_enabled
+            self._apply_cache()
+        return {"ok": True, **_facts(self.tenant or self.server._default),
+                "cache": self.cache, "epoch_us": self.server._now_us()}
+
+    def _op_shutdown(self, *_):
+        # clean session end: close without replying (docs/PROTOCOL.md)
+        return "bye"
+
+    def _op_batch(self, msg, rfile, wfile, recorder):
+        # coalesced one-way messages: dispatch in order, answer once.
+        # Deferrable calls never touch open memory, so no access window
+        # is needed; an error aborts the remainder of the batch and is
+        # reported in the single reply.
+        msgs = msg["msgs"]
+        if len(msgs) > self.server.max_batch_msgs:
+            raise RuntimeErr(
+                "batch of %d messages exceeds the per-session limit (%d)"
+                % (len(msgs), self.server.max_batch_msgs)
             )
-            return msg["oid"]
-        if op == "hello":
-            # the client declares its options: program selection binds the
-            # session to a tenant, batching turns on the server-side half
-            # (prefetch manifests -> fetch_batch callbacks)
-            if "program" in msg:
-                return self._select_program(msg["program"])
-            if "batching" in msg:
-                self.batching = bool(msg["batching"])
-                if self.inner is not None:
-                    self.inner.batching = self.batching
-            if "cache" in msg:
-                # fragment-cache negotiation (docs/CACHING.md): honoured
-                # only when the daemon's --cache policy allows it; the
-                # reply tells the client which way it went
-                self.cache = bool(msg["cache"]) and self.server.cache_enabled
-                self._apply_cache()
-                return {"cache": self.cache}
-            if isinstance(msg.get("trace"), dict):
-                # trace handshake: exchange recorder epochs so the two
-                # event streams can be clock-aligned (docs/PROTOCOL.md)
-                return {"ok": True, "epoch_us": self.server._now_us()}
-            return "ok"
-        if op == "shutdown":
-            # clean session end: close without replying (docs/PROTOCOL.md)
-            return "bye"
-        if op == "batch":
-            # coalesced one-way messages: dispatch in order, answer once.
-            # Deferrable calls never touch open memory, so no access window
-            # is needed; an error aborts the remainder of the batch and is
-            # reported in the single reply.
-            msgs = msg.get("msgs", [])
-            if len(msgs) > self.server.max_batch_msgs:
-                raise RuntimeErr(
-                    "batch of %d messages exceeds the per-session limit (%d)"
-                    % (len(msgs), self.server.max_batch_msgs)
-                )
-            executed = 0
-            for sub in msgs:
-                if sub.get("op") == "batch":
-                    raise RuntimeErr("batch frames do not nest")
-                if recorder is not None:
-                    # one recv event per coalesced sub-op, so every message
-                    # folded into the batch frame stays attributable (the
-                    # batch's trace context is applied by the caller)
-                    recorder.record("server_recv", op=str(sub.get("op")),
-                                    sub=executed)
-                self._dispatch(sub, rfile, wfile, recorder)
-                executed += 1
-            return executed
-        raise RuntimeErr("unknown op %r" % op)
+        executed = 0
+        for sub in msgs:
+            handler = _checked(sub)
+            if handler is _ClientSession._op_batch:
+                raise RuntimeErr("batch frames do not nest")
+            if recorder is not None:
+                # one recv event per coalesced sub-op, so every message
+                # folded into the batch frame stays attributable (the
+                # batch's trace context is applied by the caller)
+                recorder.record("server_recv", op=sub["op"], sub=executed)
+            handler(self, sub, rfile, wfile, recorder)
+            executed += 1
+        return executed
+
+
+#: every request op: its handler, then its required and its optional
+#: fields, each with the one JSON type it must have.  :func:`_checked`
+#: holds every frame to this table before dispatch.
+_OPS = {
+    "open": (_ClientSession._op_open, {"fn_id": int}, {"oid": int}),
+    "close": (_ClientSession._op_close, {"hid": int}, {}),
+    "call": (_ClientSession._op_call,
+             {"hid": int, "label": int, "values": list}, {}),
+    "new_instance": (_ClientSession._op_new_instance,
+                     {"class": str, "oid": int}, {}),
+    "hello": (_ClientSession._op_hello, {},
+              {"program": str, "batching": bool, "cache": bool,
+               "trace": dict}),
+    "batch": (_ClientSession._op_batch, {"msgs": list}, {}),
+    "shutdown": (_ClientSession._op_shutdown, {}, {}),
+}
+
+
+def _checked(msg):
+    """The handler for request ``msg`` once the frame fits :data:`_OPS`;
+    otherwise a :class:`RuntimeErr` naming the first problem (an error
+    reply — the session stays up)."""
+    if type(msg) is not dict:
+        raise RuntimeErr("a request must be a JSON object, not %s"
+                         % type(msg).__name__)
+    op = msg.get("op")
+    entry = _OPS.get(op) if type(op) is str else None
+    if entry is None:
+        raise RuntimeErr("unknown op %r" % (op,))
+    handler, required, optional = entry
+    for name, kind in [*required.items(), *optional.items()]:
+        if type(msg.get(name)) is not kind and (
+                name in msg or name in required):
+            raise RuntimeErr("op %r needs field %r of type %s"
+                             % (op, name, kind.__name__))
+    return handler
 
 
 class _Oid:
@@ -735,6 +812,127 @@ class _Oid:
 
     def __init__(self, oid):
         self.oid = oid
+
+
+#: a connected client session, as :func:`open_session` leaves it:
+#: ``facts`` is the handshake updated with the ``hello`` reply (the
+#: selected program's facts, the ``cache`` grant), ``clock_sync`` the
+#: trace clock alignment (``None`` untraced), ``attempts`` the connects
+#: it took
+Session = collections.namedtuple(
+    "Session", "sock rfile wfile handshake facts clock_sync attempts")
+
+
+def open_session(address, policy, hello_fields):
+    """Connect to a hidden-component server, read its handshake, and
+    negotiate capabilities in at most one ``hello`` (docs/PROTOCOL.md,
+    "Capability negotiation").
+
+    ``hello_fields`` maps the capabilities ``program``, ``batching``,
+    ``cache`` and ``trace`` (``{"id": trace_id}``) to what is requested;
+    ``None`` and ``False`` request nothing.  With nothing requested no
+    ``hello`` is sent, so a bare client speaks revision-1 traffic.  The
+    ``hello`` is uncounted: it is written to the socket directly, never
+    through an accounting channel.
+
+    Connect, handshake and ``hello`` are retried together per ``policy``
+    — the only phase where retrying is safe (no session state yet).
+    Refusals the server marks ``retry`` are retried; protocol errors
+    (an unknown revision, a refused ``hello``) are not.  Returns a
+    :class:`Session`."""
+    hello = {name: value for name, value in hello_fields.items()
+             if value is not None and value is not False}
+    backoff = policy.retry_backoff_s
+    last_error = None
+    for attempt in range(1, policy.connect_retries + 1):
+        if attempt > 1:
+            time.sleep(backoff)
+            backoff *= 2
+        sock = None
+        try:
+            sock = socket.create_connection(address, timeout=policy.timeout_s)
+            sock.settimeout(policy.timeout_s)
+            rfile = sock.makefile("rb")
+            wfile = sock.makefile("wb")
+            handshake = _reply(_recv(rfile), "server refused connection")
+            proto = handshake.get("proto", 1)
+            if proto > PROTOCOL_VERSION:
+                raise ChannelProtocolError(
+                    "server speaks protocol %r, client speaks up to %d"
+                    % (proto, PROTOCOL_VERSION)
+                )
+            if "program" in hello and "programs" not in handshake:
+                raise ChannelProtocolError(
+                    "server speaks protocol %s and does not serve named "
+                    "programs; cannot select %r" % (proto, hello["program"])
+                )
+            facts, clock_sync = handshake, None
+            if hello:
+                facts, clock_sync = _negotiate(rfile, wfile, hello, handshake)
+        except (ChannelError, OSError) as exc:
+            last_error = exc
+            if sock is not None:
+                with contextlib.suppress(OSError):
+                    sock.close()
+            if isinstance(exc, ChannelProtocolError):
+                raise
+            continue
+        return Session(sock, rfile, wfile, handshake, facts, clock_sync,
+                       attempt)
+    if isinstance(last_error, ChannelError):
+        raise last_error
+    raise ChannelError(
+        "could not connect to %r after %d attempts: %s"
+        % (address, policy.connect_retries, last_error)
+    )
+
+
+def _reply(frame, refused):
+    """``frame`` if it is a protocol object; a refusal the server marked
+    ``retry`` becomes a retryable :class:`ChannelError`, any other error
+    frame a :class:`ChannelProtocolError`."""
+    if type(frame) is not dict:
+        raise ChannelProtocolError("%s: not a JSON object" % refused)
+    if "error" in frame:
+        cls = ChannelError if frame.get("retry") else ChannelProtocolError
+        raise cls("%s: %s" % (refused, frame["error"]))
+    return frame
+
+
+def _negotiate(rfile, wfile, hello, handshake):
+    """Send the one ``hello`` and fold its reply into the handshake facts.
+
+    A traced ``hello`` carries the client's recorder timestamp and the
+    trace context; the reply's ``epoch_us`` maps server timestamps onto
+    the client timeline assuming it was struck at the round trip's
+    midpoint, so the skew bound is half the round trip.  A server that
+    answers without ``epoch_us`` leaves the clocks unaligned."""
+    trace = hello.get("trace")
+    recorder = obs.get_recorder()
+    clock = recorder.now_us if recorder.enabled else None
+    frame = {"op": "hello", **hello}
+    if trace is not None:
+        send_us = clock() if clock is not None else 0.0
+        # the hello is the session's first frame: cseq 1
+        frame["trace"] = dict(trace, t=send_us)
+        frame["tc"] = [trace["id"], 1]
+    w0 = time.perf_counter()
+    _send(wfile, frame)
+    result = _reply(_recv(rfile), "hello refused").get("result")
+    facts = {**handshake, **result} if type(result) is dict else handshake
+    if trace is None:
+        return facts, None
+    elapsed_us = (time.perf_counter() - w0) * 1e6
+    recv_us = clock() if clock is not None else round(send_us + elapsed_us, 1)
+    server_us = result.get("epoch_us") if type(result) is dict else None
+    return facts, {
+        "send_us": send_us,
+        "recv_us": recv_us,
+        "server_us": server_us,
+        "offset_us": (None if server_us is None
+                      else round((send_us + recv_us) / 2.0 - server_us, 1)),
+        "skew_bound_us": round((recv_us - send_us) / 2.0, 1),
+    }
 
 
 class RemoteHiddenRuntime:
@@ -752,7 +950,7 @@ class RemoteHiddenRuntime:
     synchronisation point rather than at the original call site.
 
     With ``trace=True`` every frame the client originates is stamped with
-    a trace context ``tc: [trace_id, cseq]`` and an uncounted ``hello``
+    a trace context ``tc: [trace_id, cseq]`` and the capability ``hello``
     exchanges recorder epochs for clock alignment; each answered request
     is decomposed into measured phases (serialize / wire+queue / server
     execution / reply deserialize) recorded on the channel event and the
@@ -761,17 +959,19 @@ class RemoteHiddenRuntime:
     (docs/PROTOCOL.md, "Trace context").
 
     With ``cache=True`` the client asks the server to memoize cacheable
-    fragment executions for this session (docs/CACHING.md) over an
-    uncounted ``hello`` — wire traffic past the negotiation, channel
-    accounting, and results are bit-identical to an uncached session;
+    fragment executions for this session (docs/CACHING.md) — channel
+    accounting and results are bit-identical to an uncached session;
     only the server does less work.
 
     With ``program=NAME`` the client selects that program on a
-    multi-tenant daemon (protocol revision 3) right after the handshake;
-    a server that predates named programs rejects the selection cleanly
-    (:class:`ChannelProtocolError`).  Without it the session is bound to
-    the daemon's default program — single-program deployments behave
-    exactly as before.
+    multi-tenant daemon; a server that predates named programs rejects
+    the selection cleanly (:class:`ChannelProtocolError`).  Without it the
+    session is bound to the daemon's default program — single-program
+    deployments behave exactly as before.
+
+    All four options are negotiated together by :func:`open_session` in
+    one uncounted ``hello``; a client with none of them sends no ``hello``
+    at all.
     """
 
     def __init__(self, address, channel=None, batching=False, policy=None,
@@ -780,109 +980,37 @@ class RemoteHiddenRuntime:
         self.batching = batching
         self.program = program
         self.cache = bool(cache)
-        #: what the server actually granted (False against an old server
-        #: or a daemon serving --cache off)
-        self.cache_enabled = False
         self.policy = policy or ConnectionPolicy()
         self.trace = bool(trace)
         # the id is fixed before connecting, so it survives the connection
         # policy's reconnect attempts (one logical run = one trace)
         self.trace_id = trace_id or (_new_trace_id() if trace else None)
-        self.clock_sync = None
-        self._tseq = 0
+        self._tseq = 1  # traced, cseq 1 is the hello (open_session)
         self._outbox = []
         self._hid_fn = {}  # hid -> fn_id, to look up deferrable labels
         recorder = obs.get_recorder()
         self._recorder = recorder if recorder.enabled else None
-        self._connect(address)
-        if self.trace:
-            self._trace_handshake()
-        if self.cache:
-            self._cache_handshake()
-        if batching:
-            self._request({"op": "hello", "batching": True}, access=None,
-                          kind="open", sent=())
-
-    def _connect(self, address):
-        """Connect and complete the handshake, retrying per the policy —
-        the only phase where retrying is safe (no session state yet)."""
-        policy = self.policy
-        backoff = policy.retry_backoff_s
-        last_error = None
-        for attempt in range(policy.connect_retries):
-            if attempt:
-                time.sleep(backoff)
-                backoff *= 2
-            sock = None
-            try:
-                sock = socket.create_connection(address, timeout=policy.timeout_s)
-                sock.settimeout(policy.timeout_s)
-                rfile = sock.makefile("rb")
-                wfile = sock.makefile("wb")
-                handshake = _recv(rfile)
-                if "error" in handshake:
-                    # the daemon refused before speaking the protocol
-                    # (connection limit): retryable under the policy
-                    raise ChannelError(
-                        "server refused connection: %s" % handshake["error"]
-                    )
-                proto = handshake.get("proto", 1)
-                if proto > PROTOCOL_VERSION:
-                    raise ChannelProtocolError(
-                        "server speaks protocol %r, client speaks up to %d"
-                        % (proto, PROTOCOL_VERSION)
-                    )
-                facts = handshake
-                if self.program is not None:
-                    facts = self._negotiate_program(rfile, wfile, handshake)
-            except (ChannelError, OSError) as exc:
-                last_error = exc
-                if sock is not None:
-                    with contextlib.suppress(OSError):
-                        sock.close()
-                continue
-            self._sock = sock
-            self._rfile = rfile
-            self._wfile = wfile
-            self._split_classes = set(facts.get("classes", []))
-            self._deferrable = {
-                int(fn_id): set(labels)
-                for fn_id, labels in (facts.get("deferrable") or {}).items()
-            }
-            self.functions = {
-                str(name): fn_id
-                for name, fn_id in (facts.get("functions") or {}).items()
-            }
-            self.server_programs = handshake.get("programs")
-            self.connect_attempts = attempt + 1
-            return
-        self.connect_attempts = policy.connect_retries
-        if isinstance(last_error, ChannelError):
-            raise last_error
-        raise ChannelError(
-            "could not connect to %r after %d attempts: %s"
-            % (address, policy.connect_retries, last_error)
-        )
-
-    def _negotiate_program(self, rfile, wfile, handshake):
-        """Select a named program on a multi-tenant daemon; returns the
-        selected program's handshake facts.  Part of connection setup so
-        the policy's reconnect attempts redo it; deliberately uncounted
-        and unstamped (it precedes the session)."""
-        if "programs" not in handshake:
-            raise ChannelProtocolError(
-                "server speaks protocol %s and does not serve named "
-                "programs; cannot select %r"
-                % (handshake.get("proto", 1), self.program)
-            )
-        _send(wfile, {"op": "hello", "program": self.program})
-        reply = _recv(rfile)
-        if "error" in reply:
-            raise ChannelProtocolError(
-                "program selection failed: %s" % reply["error"]
-            )
-        result = reply.get("result")
-        return result if isinstance(result, dict) else {}
+        session = open_session(address, self.policy, {
+            "program": program, "batching": batching, "cache": self.cache,
+            "trace": {"id": self.trace_id} if self.trace else None,
+        })
+        self._sock = session.sock
+        self._rfile = session.rfile
+        self._wfile = session.wfile
+        self.connect_attempts = session.attempts
+        facts = session.facts
+        #: what the server actually granted (False against an old server
+        #: or a daemon serving --cache off)
+        self.cache_enabled = bool(facts.get("cache"))
+        self._split_classes = set(facts.get("classes", []))
+        self._deferrable = {
+            int(fn_id): set(labels)
+            for fn_id, labels in (facts.get("deferrable") or {}).items()
+        }
+        self.clock_sync = session.clock_sync
+        if self.clock_sync is not None and self._recorder is not None:
+            self._recorder.record("trace_sync", trace_id=self.trace_id,
+                                  **self.clock_sync)
 
     def close(self):
         with contextlib.suppress(OSError, RuntimeErr):
@@ -939,68 +1067,6 @@ class RemoteHiddenRuntime:
             payload["tc"] = [self.trace_id, self._tseq]
         return payload
 
-    def _trace_handshake(self):
-        """Exchange recorder epochs with the server over an uncounted
-        ``hello`` frame (docs/PROTOCOL.md, "Trace context").
-
-        The server's reply carries its event-timebase ``epoch_us``; the
-        offset maps server timestamps onto the client timeline assuming
-        the reply was struck at the round trip's midpoint, so the skew
-        bound is half the handshake round trip.  Deliberately *not* routed
-        through the channel: instrumentation must not perturb the very
-        accounting it attributes, so traced runs keep seed-identical
-        transcripts and round-trip counts.  An old server that rejects the
-        frame degrades gracefully (context stamping still works; the
-        merged timeline just stays unaligned)."""
-        recorder = self._recorder
-        send_us = recorder.now_us() if recorder is not None else 0.0
-        w0 = time.perf_counter()
-        _send(self._wfile, self._stamp(
-            {"op": "hello", "trace": {"id": self.trace_id, "t": send_us}}
-        ))
-        reply = _recv(self._rfile)
-        elapsed_us = (time.perf_counter() - w0) * 1e6
-        recv_us = (
-            recorder.now_us() if recorder is not None
-            else round(send_us + elapsed_us, 1)
-        )
-        result = reply.get("result")
-        server_us = (
-            result.get("epoch_us") if isinstance(result, dict) else None
-        )
-        offset_us = None
-        if server_us is not None:
-            offset_us = round((send_us + recv_us) / 2.0 - server_us, 1)
-        self.clock_sync = {
-            "send_us": send_us,
-            "recv_us": recv_us,
-            "server_us": server_us,
-            "offset_us": offset_us,
-            "skew_bound_us": round((recv_us - send_us) / 2.0, 1),
-        }
-        if recorder is not None:
-            recorder.record("trace_sync", trace_id=self.trace_id,
-                            **self.clock_sync)
-
-    def _cache_handshake(self):
-        """Ask the server to enable its session fragment cache
-        (docs/CACHING.md).  Like the trace handshake, deliberately *not*
-        routed through the channel: a cached run must keep a transcript
-        bit-identical to an uncached one, so the negotiation frame is
-        uncounted.  An old server — or a daemon serving ``--cache off`` —
-        answers without enabling; the run proceeds uncached, still
-        correct."""
-        _send(self._wfile, self._stamp({"op": "hello", "cache": True}))
-        reply = _recv(self._rfile)
-        if "error" in reply:
-            raise ChannelProtocolError(
-                "cache negotiation failed: %s" % reply["error"]
-            )
-        result = reply.get("result")
-        self.cache_enabled = (
-            bool(result.get("cache")) if isinstance(result, dict) else False
-        )
-
     def _defer(self, payload, kind, hid, sent, label=None):
         self._outbox.append(payload)
         self.channel.defer(kind, hid, "-", label, sent)
@@ -1013,56 +1079,19 @@ class RemoteHiddenRuntime:
         if not self._outbox:
             return
         msgs, self._outbox = self._outbox, []
-        payload = self._stamp({"op": "batch", "msgs": msgs})
-        if not self.trace:
-            _send(self._wfile, payload)
-            self.channel.flush_deferred()
-            reply = _recv(self._rfile)
-            if "error" in reply:
-                raise RuntimeErr(
-                    "hidden server (deferred): %s" % reply["error"])
-            return
-        reply, phases = self._timed_exchange(payload)
-        self.channel.flush_deferred(
-            phases=phases, trace=(self.trace_id, self._tseq))
+        reply, phases = self._exchange(
+            self._stamp({"op": "batch", "msgs": msgs}), None)
+        self.channel.flush_deferred(phases=phases, trace=self._trace_ctx())
         if "error" in reply:
             raise RuntimeErr("hidden server (deferred): %s" % reply["error"])
 
-    def _timed_exchange(self, payload):
-        """Send one frame and read its direct reply, measuring the phase
-        decomposition: serialize (dump + write), wire+queue, server
-        execution (the reply's ``t`` field), and reply deserialize
-        (parse).  The four phases sum to the measured wall time by
-        construction — see :func:`_phase_split`."""
-        t0 = time.perf_counter()
-        _send(self._wfile, payload)
-        t_sent = time.perf_counter()
-        line = _readline(self._rfile)
-        t_line = time.perf_counter()
-        msg = _parse_frame(line)
-        t_parsed = time.perf_counter()
-        return msg, _phase_split(t0, t_sent, t_line, t_parsed,
-                                 msg.get("t", 0.0))
-
-    def _request(self, payload, access, kind, sent, label=None):
-        self._flush_outbox()
-        self._stamp(payload)
-        if not self.trace:
-            _send(self._wfile, payload)
-            while True:
-                msg = _recv(self._rfile)
-                if "cb" in msg:
-                    self._answer_callback(msg, access)
-                    continue
-                if "error" in msg:
-                    raise RuntimeErr("hidden server: %s" % msg["error"])
-                result = msg.get("result")
-                self.channel.round_trip(kind, payload.get("hid"), "-", label,
-                                        sent, result)
-                return result
-        # traced: measure the phases around the answered frame; callback
-        # servicing happens inside the server's echoed execution time, so
-        # the decomposition still covers the whole round trip
+    def _exchange(self, payload, access):
+        """Send one frame and read its reply, servicing callbacks on the
+        way; returns the reply and, traced, its decomposition into
+        serialize (dump + write), wire+queue, server execution (the
+        reply's ``t`` field, which covers the callbacks), and reply
+        deserialize (parse) — summing to the measured wall time by
+        construction, see :func:`_phase_split`."""
         t0 = time.perf_counter()
         _send(self._wfile, payload)
         t_sent = time.perf_counter()
@@ -1070,20 +1099,23 @@ class RemoteHiddenRuntime:
             line = _readline(self._rfile)
             t_line = time.perf_counter()
             msg = _parse_frame(line)
-            if "cb" in msg:
-                self._answer_callback(msg, access)
-                continue
-            if "error" in msg:
-                raise RuntimeErr("hidden server: %s" % msg["error"])
-            t_parsed = time.perf_counter()
-            result = msg.get("result")
-            self.channel.round_trip(
-                kind, payload.get("hid"), "-", label, sent, result,
-                phases=_phase_split(t0, t_sent, t_line, t_parsed,
-                                    msg.get("t", 0.0)),
-                trace=(self.trace_id, self._tseq),
-            )
-            return result
+            if "cb" not in msg:
+                break
+            self._answer_callback(msg, access)
+        if not self.trace:
+            return msg, None
+        return msg, _phase_split(t0, t_sent, t_line, time.perf_counter(),
+                                 msg.get("t", 0.0))
+
+    def _request(self, payload, access, kind, sent, label=None):
+        self._flush_outbox()
+        msg, phases = self._exchange(self._stamp(payload), access)
+        if "error" in msg:
+            raise RuntimeErr("hidden server: %s" % msg["error"])
+        result = msg.get("result")
+        self.channel.round_trip(kind, payload.get("hid"), "-", label, sent,
+                                result, phases=phases, trace=self._trace_ctx())
+        return result
 
     def _answer_callback(self, msg, access):
         if access is None:
@@ -1104,7 +1136,7 @@ class RemoteHiddenRuntime:
             elif cb == "fetch_batch":
                 values = access.fetch_batch(msg["items"])
                 self.channel.round_trip("cb_batch", None, "-", None, (), None,
-                                        trace=self._cb_trace())
+                                        trace=self._trace_ctx())
                 _send(self._wfile, {"values": values})
                 return
             else:
@@ -1114,12 +1146,12 @@ class RemoteHiddenRuntime:
             _send(self._wfile, {"error": str(exc)})
             return
         self.channel.round_trip("cb_" + cb.split("_")[0], None, "-", None, (),
-                                value, trace=self._cb_trace())
+                                value, trace=self._trace_ctx())
         _send(self._wfile, {"value": value})
 
-    def _cb_trace(self):
-        """Callbacks belong to the in-flight request: tag their channel
-        events with its context so attribution can fold them in."""
+    def _trace_ctx(self):
+        """The in-flight request's trace context, for its channel events
+        and those of its callbacks (so attribution can fold them in)."""
         return (self.trace_id, self._tseq) if self.trace else None
 
 

@@ -257,8 +257,8 @@ def call_builtin(name, args):
             if not isinstance(arr, ArrayValue):
                 raise RuntimeErr("len needs an array, got %r" % (arr,))
             return len(arr)
-    except OverflowError:
-        raise RuntimeErr("math overflow in %s%r" % (name, tuple(args)))
+    except (OverflowError, ValueError):  # e.g. floor(inf), floor(nan)
+        raise RuntimeErr("math error in %s%r" % (name, tuple(args)))
     raise RuntimeErr("unknown builtin %r" % name)
 
 

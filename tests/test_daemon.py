@@ -20,9 +20,12 @@ import time
 import pytest
 
 from repro import obs
+from repro.core.deploy import export_split_json
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
+from repro.obs.events import FlightRecorder
 from repro.runtime.remote import (
+    MAX_FRAME_BYTES,
     M_CLIENTS,
     M_REJECTED,
     M_SESSION_ERRORS,
@@ -55,6 +58,20 @@ func int f(int x) {
     return b;
 }
 func void main(int x) { print(f(x)); }
+"""
+
+# the hidden slice reads the open array B: a call triggers a callback
+ARRAY = """
+func int f(int x, int[] B) {
+    int a = x + B[0];
+    int b = a * 2;
+    return b;
+}
+func void main(int x) {
+    int[] B = new int[2];
+    B[0] = 5;
+    print(f(x, B));
+}
 """
 
 # the hidden slice drives 20k open-side loop iterations: a long session
@@ -90,6 +107,25 @@ def _hangup(sock):
     sock.close()
 
 
+def _repro_env():
+    """The environment a ``python -m repro`` subprocess needs to import
+    this checkout."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(obs.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(src), env.get("PYTHONPATH", "")]
+    ).rstrip(os.pathsep)
+    return env
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Exceptions that escaped any thread while the test ran."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    return errors
+
+
 def _poll(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -102,7 +138,7 @@ def _poll(predicate, timeout=5.0):
 # -- tenancy -----------------------------------------------------------------
 
 
-def test_handshake_carries_protocol_3_and_program_directory():
+def test_handshake_carries_protocol_4_and_program_directory():
     _, sp = make(ALPHA)
     with remote_server(sp) as address:
         sock, rfile, _wfile = _wire(address)[0:3]
@@ -110,7 +146,7 @@ def test_handshake_carries_protocol_3_and_program_directory():
             handshake = _recv(rfile)
         finally:
             _hangup(sock)
-    assert handshake["proto"] == PROTOCOL_VERSION == 3
+    assert handshake["proto"] == PROTOCOL_VERSION == 4
     assert handshake["programs"] == ["default"]
     assert handshake["functions"] == {"f": 0}
     assert "classes" in handshake and "deferrable" in handshake
@@ -254,6 +290,193 @@ def test_batch_backpressure_limits_coalesced_messages():
 # -- session robustness ------------------------------------------------------
 
 
+#: request frames the op table must refuse with an error reply, leaving
+#: the session up: the four that used to kill their session thread, then
+#: a wrong-typed (or missing) field for every op.  They are sent while
+#: activation 1 of ``f`` (fragment 0 takes one value) is open.
+MALFORMED_FRAMES = [
+    {"op": "close"},
+    [1, 2],
+    {"op": "call", "hid": "x"},
+    {"op": "open", "fn_id": [1]},
+    {"op": "open", "fn_id": "0"},
+    {"op": "open", "fn_id": 0, "oid": "o"},
+    {"op": "close", "hid": 1.5},
+    {"op": "call", "hid": 1, "label": "0", "values": [1]},
+    {"op": "call", "hid": 1, "label": 0, "values": {"x": 1}},
+    {"op": "call", "hid": 1, "label": 0, "values": [[1]]},
+    {"op": "new_instance", "class": 7, "oid": 1},
+    {"op": "new_instance", "class": "Nope", "oid": 1},
+    {"op": "hello", "program": ["alpha"]},
+    {"op": "hello", "batching": "yes"},
+    {"op": "hello", "cache": 1},
+    {"op": "hello", "trace": "ab"},
+    {"op": "batch", "msgs": {"op": "close"}},
+    {"op": "batch", "msgs": [[1]]},
+    {"op": "batch", "msgs": [{"op": "batch", "msgs": []}]},
+    {"op": 7},
+    {"op": "nope"},
+    "open",
+    None,
+]
+
+
+@pytest.mark.parametrize("frame", MALFORMED_FRAMES, ids=json.dumps)
+def test_malformed_request_gets_an_error_and_the_session_survives(
+        frame, thread_errors):
+    _, sp = make(ALPHA)
+    with remote_server(sp) as address:
+        sock, rfile, wfile = _wire(address)
+        try:
+            _recv(rfile)
+            _send(wfile, {"op": "open", "fn_id": 0})
+            opened = _recv(rfile)
+            _send(wfile, frame)
+            reply = _recv(rfile)
+            # the same session still serves a well-formed request
+            _send(wfile, {"op": "call", "hid": 1, "label": 0, "values": [5]})
+            after = _recv(rfile)
+        finally:
+            _hangup(sock)
+    assert opened["result"] == 1
+    assert set(reply) == {"error"} and reply["error"]
+    assert "result" in after
+    assert thread_errors == []
+
+
+@pytest.mark.parametrize("line", [b"{this is not json\n",
+                                  b"[" * 100_000 + b"\n"],
+                         ids=["not-json", "deeply-nested"])
+def test_unparseable_line_gets_an_error_and_a_clean_close(line,
+                                                          thread_errors):
+    _, sp = make(ALPHA)
+    with obs.telemetry() as (registry, _tracer):
+        with remote_server(sp) as address:
+            sock, rfile, _wfile = _wire(address)
+            try:
+                _recv(rfile)
+                sock.sendall(line)
+                reply = _recv(rfile)
+                with pytest.raises(ChannelError, match="connection closed"):
+                    _recv(rfile)
+            finally:
+                _hangup(sock)
+            assert _poll(lambda: registry.counter(
+                M_SESSION_ERRORS, reason="malformed").value == 1)
+    assert "malformed frame" in reply["error"]
+    assert thread_errors == []
+
+
+@pytest.mark.parametrize("answer", [{"value": [1]}, {"value": "5"},
+                                    {"value": None}, [5], "5"],
+                         ids=json.dumps)
+def test_ill_typed_callback_answer_fails_the_call_not_the_session(
+        answer, thread_errors):
+    _, sp = make(ARRAY)
+    label = min(label for _fn, frags, _st in sp.registry().values()
+                for label, frag in frags.items() if frag.params)
+    with remote_server(sp) as address:
+        sock, rfile, wfile = _wire(address)
+        try:
+            _recv(rfile)
+            _send(wfile, {"op": "open", "fn_id": 0})
+            hid = _recv(rfile)["result"]
+            _send(wfile, {"op": "call", "hid": hid, "label": label,
+                          "values": [1]})
+            assert _recv(rfile)["cb"] == "fetch_index"
+            _send(wfile, answer)
+            reply = _recv(rfile)
+            _send(wfile, {"op": "open", "fn_id": 0})
+            after = _recv(rfile)
+        finally:
+            _hangup(sock)
+    assert "client-side access failed" in reply["error"]
+    assert "result" in after
+    assert thread_errors == []
+
+
+def test_oversized_frame_is_refused_while_other_sessions_finish(
+        thread_errors):
+    prog, sp = make(ALPHA)
+    with remote_server(sp) as address:
+        sock, rfile, _wfile = _wire(address, timeout=30.0)
+        try:
+            _recv(rfile)
+
+            def flood():
+                # twice the cap and no newline; the daemon stops reading
+                # (and hangs up) long before the end
+                with contextlib.suppress(OSError):
+                    sock.sendall(b"x" * (2 * MAX_FRAME_BYTES))
+
+            flooder = threading.Thread(target=flood, daemon=True)
+            flooder.start()
+            # a concurrent well-behaved session is unaffected
+            remote = run_split_remote(sp, address, args=(4,))
+            reply = _recv(rfile)
+            with pytest.raises(ChannelError):
+                _recv(rfile)
+            flooder.join(timeout=10.0)
+        finally:
+            _hangup(sock)
+    assert remote.output == run_original(prog, args=(4,)).output
+    assert reply == {"error": "frame exceeds %d bytes" % MAX_FRAME_BYTES}
+    assert thread_errors == []
+
+
+def test_revision_3_single_field_hellos_get_their_old_reply_keys():
+    """A revision-3 client negotiates one capability per hello, in this
+    order; each reply still carries the keys that client reads."""
+    _, sp_a = make(ALPHA)
+    tenants = [Tenant.from_program("alpha", sp_a)]
+    with remote_server(tenants=tenants) as address:
+        sock, rfile, wfile = _wire(address)
+        try:
+            _recv(rfile)
+            replies = {}
+            for field, value in [("program", "alpha"),
+                                 ("trace", {"id": "ab", "t": 1.0}),
+                                 ("cache", True), ("batching", True)]:
+                _send(wfile, {"op": "hello", field: value})
+                replies[field] = _recv(rfile)["result"]
+            _send(wfile, {"op": "open", "fn_id": 0})
+            opened = _recv(rfile)
+        finally:
+            _hangup(sock)
+    program = replies["program"]
+    assert program["ok"] is True and program["functions"] == {"f": 0}
+    assert "classes" in program and "deferrable" in program
+    assert replies["trace"]["ok"] is True
+    assert isinstance(replies["trace"]["epoch_us"], (int, float))
+    assert replies["cache"]["cache"] is True
+    assert replies["batching"]["ok"] is True
+    assert "result" in opened
+
+
+def _hellos_received(**options):
+    """Run ALPHA against a fresh daemon; how many ``hello`` frames did the
+    daemon receive?"""
+    _, sp = make(ALPHA)
+    recorder = FlightRecorder(process="Hf")
+    with obs.telemetry(recorder=recorder):
+        server = HiddenComponentServer(tenants=[Tenant.from_program("p", sp)])
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        run_split_remote(sp, server.address, args=(4,), **options)
+    finally:
+        server.shutdown()
+        thread.join(timeout=2.0)
+    return sum(1 for e in recorder.events
+               if e["type"] == "server_recv" and e["op"] == "hello")
+
+
+def test_a_session_sends_at_most_one_hello():
+    assert _hellos_received() == 0
+    assert _hellos_received(program="p", batching=True, cache=True,
+                            trace=True) == 1
+
+
 def test_mid_handshake_disconnect_does_not_leak_or_kill_the_daemon():
     """Regression: a client that vanishes before (or mid-) handshake used to
     crash its session thread and leak the live-clients gauge."""
@@ -323,11 +546,7 @@ def test_serve_sigterm_drains_in_flight_work(tmp_path):
     prog = tmp_path / "slow.mj"
     prog.write_text(SLOW)
     manifest = str(tmp_path / "slow.json")
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(obs.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.dirname(src), env.get("PYTHONPATH", "")]
-    ).rstrip(os.pathsep)
+    env = _repro_env()
     export = subprocess.run(
         [sys.executable, "-m", "repro", "export", str(prog), "--function",
          "f", "--var", "a", "-o", manifest],
@@ -407,3 +626,37 @@ def test_serve_sigterm_drains_in_flight_work(tmp_path):
                 if m["name"] == "repro_remote_sessions_total"]
     assert sessions and sessions[0]["labels"] == {"program": "slow"}
     assert os.path.getsize(events_path) > 0
+
+
+SELF_TERMINATING_SERVE = """
+import os, signal, sys
+from repro.cli import main
+
+class Out:
+    # SIGTERM this process the instant the address line is written:
+    # the earliest a supervisor watching stdout could send it
+    def write(self, text):
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        if "serving on" in text:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    def flush(self):
+        sys.stdout.flush()
+
+sys.exit(main(sys.argv[1:], out=Out()))
+"""
+
+
+def test_serve_sigterm_at_the_address_line_exits_cleanly(tmp_path):
+    _, sp = make(ALPHA)
+    manifest = tmp_path / "alpha.json"
+    manifest.write_text(export_split_json(sp))
+    proc = subprocess.run(
+        [sys.executable, "-c", SELF_TERMINATING_SERVE, "serve",
+         str(manifest), "--port", "0"],
+        env=_repro_env(), capture_output=True, text=True, timeout=30,
+    )
+    assert "hidden component serving on" in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

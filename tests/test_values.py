@@ -133,6 +133,11 @@ def test_builtin_domain_errors():
         call_builtin("log", [0])
     with pytest.raises(RuntimeErr):
         call_builtin("len", [3])
+    # non-finite floats: a Python ValueError/OverflowError must not escape
+    for name, arg in [("floor", float("nan")), ("floor", float("inf")),
+                      ("sin", float("inf"))]:
+        with pytest.raises(RuntimeErr):
+            call_builtin(name, [arg])
 
 
 def test_scalar_repr_canonical():
