@@ -33,7 +33,6 @@ import signal
 import sys
 
 from repro.analysis.selfcontained import analyze_self_contained
-from repro.bench.tables import Table
 from repro.core.pipeline import prepare_split
 from repro.lang import check_program, parse_program
 from repro.core.splitter import SplitError
@@ -284,6 +283,8 @@ def cmd_run_split(args, out):
 
 
 def cmd_analyze(args, out):
+    from repro.bench.tables import Table
+
     program, checker = _load(args.file)
     sp = _split_for(program, checker, args)
     if not sp.splits:
@@ -335,10 +336,11 @@ def _load_tenants(manifests):
 
     Each argument is ``PATH`` or ``NAME=PATH``; without an explicit name
     the file's stem names the program.  The first manifest is the daemon's
-    default program (docs/OPERATIONS.md)."""
+    default program (docs/OPERATIONS.md).  Only each manifest's hidden half
+    is read: the daemon never parses ``open_program``."""
     import os
 
-    from repro.core.deploy import import_split
+    from repro.core.deploy import import_hidden
     from repro.runtime.server import Tenant
 
     tenants = []
@@ -353,7 +355,7 @@ def _load_tenants(manifests):
             raise ValueError("duplicate program name %r" % name)
         seen.add(name)
         with open(path) as f:
-            tenants.append(Tenant.from_program(name, import_split(f.read())))
+            tenants.append(Tenant(name, *import_hidden(f.read())))
     return tenants
 
 
@@ -696,6 +698,8 @@ def cmd_export(args, out):
 
 
 def cmd_table1(args, out):
+    from repro.bench.tables import Table
+
     program, _ = _load(args.file)
     report = analyze_self_contained(program, args.file)
     table = Table("Self-contained method analysis (Table 1)", ["Metric", "Count"])
@@ -709,6 +713,7 @@ def cmd_attack(args, out):
     import random
 
     from repro.attack.driver import attack_split_program
+    from repro.bench.tables import Table
 
     program, checker = _load(args.file)
     sp = _split_for(program, checker, args)

@@ -8,9 +8,11 @@ smart card or secure server.  This module provides that packaging:
   into a JSON-able manifest — the open program as source text, every
   hidden fragment as (label, kind, params, body source, result source),
   plus the storage metadata;
+* :func:`import_hidden` reads only the hidden half of a manifest — the
+  fragment registry and hidden-state initialisers a secure host serves —
+  and never parses ``open_program``;
 * :func:`import_split` reconstructs a runnable split program from a
-  manifest (on either side: the client only needs ``open_program``, the
-  server only the fragments).
+  manifest: the parsed ``open_program`` plus :func:`import_hidden`.
 
 Round trip is exact: the re-imported program produces identical output and
 identical channel traffic (tests assert this).
@@ -18,9 +20,8 @@ identical channel traffic (tests assert this).
 
 import json
 
-from repro.core.hidden import HiddenFragment, SplitFunction
+from repro.core.hidden import HiddenFragment
 from repro.core.purity import PurityVerdict, classify_fragment
-from repro.lang import ast
 from repro.lang.parser import parse_expression, parse_program, parse_statements
 from repro.lang.pretty import pretty, pretty_expr, pretty_stmt
 
@@ -101,14 +102,24 @@ class DeployedSplitProgram:
         return "<DeployedSplitProgram %d functions>" % len(self._registry)
 
 
-def import_split(manifest):
-    """Reconstruct a runnable split program from :func:`export_split`
-    output (a dict or JSON string)."""
+def _checked(manifest):
+    """``manifest`` as a dict, after its format check."""
     if isinstance(manifest, str):
         manifest = json.loads(manifest)
     if manifest.get("format") != FORMAT:
         raise ValueError("unsupported manifest format %r" % manifest.get("format"))
-    program = parse_program(manifest["open_program"])
+    return manifest
+
+
+def import_hidden(manifest):
+    """The hidden component of an :func:`export_split` manifest (a dict or
+    JSON string): ``(registry, hidden_globals, hidden_fields)``, the
+    arguments of :class:`repro.runtime.server.Tenant` after its name.
+
+    Every fragment body and result is parsed, so a bad one fails here;
+    ``open_program`` is never read — the hidden host has no use for it,
+    and a manifest without it imports the same."""
+    manifest = _checked(manifest)
     registry = {}
     for name, entry in manifest["functions"].items():
         fragments = {}
@@ -134,8 +145,7 @@ def import_split(manifest):
                 ),
             )
         registry[entry["fn_id"]] = (name, fragments, dict(entry["storage_map"]))
-    return DeployedSplitProgram(
-        program,
+    return (
         registry,
         dict(manifest.get("hidden_globals", {})),
         {
@@ -143,3 +153,11 @@ def import_split(manifest):
             for cls, fields in manifest.get("hidden_fields", {}).items()
         },
     )
+
+
+def import_split(manifest):
+    """Reconstruct a runnable split program from :func:`export_split`
+    output (a dict or JSON string)."""
+    manifest = _checked(manifest)
+    program = parse_program(manifest["open_program"])
+    return DeployedSplitProgram(program, *import_hidden(manifest))

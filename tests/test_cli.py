@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 SOURCE = """
@@ -34,6 +38,20 @@ def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def test_importing_the_cli_loads_no_numpy_and_no_bench():
+    # repro serve and repro loadgen start through this import: the table
+    # commands import repro.bench (and with it numpy) only when they run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'numpy' or m.startswith('repro.bench')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
 
 
 def test_run(prog_file):

@@ -8,6 +8,7 @@ in-process (raw protocol frames over a real socket) and as a subprocess
 """
 
 import contextlib
+import io
 import json
 import os
 import signal
@@ -20,7 +21,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.deploy import export_split_json
+from repro.cli import _load_tenants, main
+from repro.core.classes import split_class
+from repro.core.deploy import export_split, export_split_json
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
 from repro.obs.events import FlightRecorder
@@ -219,6 +222,94 @@ def test_duplicate_program_names_are_rejected():
 def test_daemon_requires_at_least_one_program():
     with pytest.raises(ValueError, match="at least one program"):
         HiddenComponentServer()
+
+
+# -- hidden-only manifest load ---------------------------------------------------
+
+# split class instances and one-way calls: every handshake fact is non-empty
+SAFE = """
+class Safe {
+    field int pin;
+    field int tries;
+    method void set(int p) { pin = p * 7; tries = 0; }
+    method int check(int guess) {
+        tries = tries + 1;
+        if (guess == pin) { return tries; }
+        return 0 - tries;
+    }
+}
+func void main(int p) {
+    Safe s = new Safe();
+    s.set(p);
+    print(s.check(p * 7));
+}
+"""
+
+
+def _manifest_file(tmp_path, manifest, name="safe"):
+    path = tmp_path / ("%s.json" % name)
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+def _handshake(tenant):
+    with remote_server(tenants=[tenant]) as address:
+        sock, rfile, _wfile = _wire(address)
+        try:
+            return _recv(rfile)
+        finally:
+            _hangup(sock)
+
+
+def test_hidden_only_tenant_has_the_source_splits_handshake_facts(tmp_path):
+    program = parse_program(SAFE)
+    sp = split_class(program, check_program(program), "Safe")
+    manifest = export_split(sp)
+    del manifest["open_program"]
+    [loaded] = _load_tenants([_manifest_file(tmp_path, manifest)])
+    served = _handshake(loaded)
+    expected = _handshake(Tenant.from_program("safe", sp))
+    for fact in ("functions", "classes", "deferrable"):
+        assert served[fact] == expected[fact], fact
+    assert served["classes"] == ["Safe"] and served["deferrable"]
+
+
+def test_serve_never_parses_the_open_program(tmp_path, monkeypatch):
+    import repro.core.deploy as deploy
+
+    def refuse(source):
+        raise AssertionError("parsed open_program")
+
+    monkeypatch.setattr(deploy, "parse_program", refuse)
+    _, sp = make(ALPHA)
+    [tenant] = _load_tenants([_manifest_file(tmp_path, export_split(sp))])
+    assert tenant.functions == {"f": 0}
+
+
+def _bad_manifests():
+    _, sp = make(ALPHA)
+    wrong_format = export_split(sp)
+    wrong_format["format"] = "repro-split/0"
+    bad_body = export_split(sp)
+    bad_body["functions"]["f"]["fragments"][0]["body"] = "int = ;"
+    bad_result = export_split(sp)
+    spec = next(f for f in bad_result["functions"]["f"]["fragments"]
+                if f["result"] is not None)
+    spec["result"] = "a +"
+    return [("format", wrong_format, "unsupported manifest format"),
+            ("body", bad_body, "error: "),
+            ("result", bad_result, "error: ")]
+
+
+@pytest.mark.parametrize("case", _bad_manifests(), ids=lambda c: c[0])
+def test_serve_rejects_a_bad_manifest_at_start_up(tmp_path, case):
+    _name, manifest, message = case
+    out = io.StringIO()
+    code = main(["serve", _manifest_file(tmp_path, manifest), "--port", "0"],
+                out=out)
+    assert code == 2
+    assert message in out.getvalue()
+    assert "serving on" not in out.getvalue()
 
 
 # -- limits ------------------------------------------------------------------

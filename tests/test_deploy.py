@@ -5,11 +5,15 @@ import json
 import pytest
 
 from repro.core.classes import split_class
+from repro.cli import _load_tenants
 from repro.core.deploy import export_split, export_split_json, import_split
 from repro.core.globals import hide_global
 from repro.core.program import split_program
 from repro.lang import parse_program, check_program
+from repro.lang.errors import LangError
+from repro.runtime.remote import remote_server, run_split_remote
 from repro.runtime.splitrun import run_original, run_split
+from repro.runtime.values import ObjectValue
 
 
 SOURCE = """
@@ -25,6 +29,25 @@ func void main(int x, int y) {
     int[] B = new int[2];
     print(f(x, y, 25, B));
     print(B[0]);
+}
+"""
+
+GLOBAL_SOURCE = """
+global int counter = 10;
+func void bump(int k) { counter = counter + k; }
+func void main(int k) { bump(k); bump(k * 2); print(counter); }
+"""
+
+CLASS_SOURCE = """
+class Safe {
+    field int pin;
+    method void set(int p) { pin = p * 7; }
+    method int check() { return pin; }
+}
+func void main(int p) {
+    Safe s = new Safe();
+    s.set(p);
+    print(s.check());
 }
 """
 
@@ -75,12 +98,7 @@ def test_roundtrip_through_json_text():
 
 
 def test_global_hiding_manifest():
-    source = """
-    global int counter = 10;
-    func void bump(int k) { counter = counter + k; }
-    func void main(int k) { bump(k); bump(k * 2); print(counter); }
-    """
-    program = parse_program(source)
+    program = parse_program(GLOBAL_SOURCE)
     checker = check_program(program)
     sp = hide_global(program, checker, "counter")
     manifest = export_split(sp)
@@ -91,19 +109,7 @@ def test_global_hiding_manifest():
 
 
 def test_class_splitting_manifest():
-    source = """
-    class Safe {
-        field int pin;
-        method void set(int p) { pin = p * 7; }
-        method int check() { return pin; }
-    }
-    func void main(int p) {
-        Safe s = new Safe();
-        s.set(p);
-        print(s.check());
-    }
-    """
-    program = parse_program(source)
+    program = parse_program(CLASS_SOURCE)
     checker = check_program(program)
     sp = split_class(program, checker, "Safe")
     manifest = export_split(sp)
@@ -133,3 +139,56 @@ def test_manifest_fragments_are_source_text():
     manifest = export_split(sp)
     bodies = [f["body"] for f in manifest["functions"]["f"]["fragments"]]
     assert any("while (" in b for b in bodies)  # the hidden loop ships as source
+
+
+# -- hidden-only import (what repro serve reads) --------------------------------------
+
+#: kind of hidden state -> (its split, the arguments of main)
+CASES = {
+    "function": (lambda: make_split()[1], (3, 4)),
+    "global": (lambda: hide_global(*_checked(GLOBAL_SOURCE), "counter"), (4,)),
+    "class": (lambda: split_class(*_checked(CLASS_SOURCE), "Safe"), (6,)),
+}
+
+
+def _checked(source):
+    program = parse_program(source)
+    return program, check_program(program)
+
+
+def _wire_events(result):
+    # what crosses the wire; the client side does not learn fn_name or hid
+    return [(e.kind, e.label, e.sent, e.result)
+            for e in result.channel.transcript.events]
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_manifest_without_open_program_serves_like_the_source_split(
+        tmp_path, monkeypatch, kind):
+    make, args = CASES[kind]
+    sp = make()
+    manifest = export_split(sp)
+    del manifest["open_program"]
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps(manifest))
+    [tenant] = _load_tenants([str(path)])
+    assert tenant.name == "app"
+    # object ids (sent when a split instance is created) come from a
+    # process-wide counter: start both runs from the same one
+    monkeypatch.setattr(ObjectValue, "_id_counter", 0)
+    local = run_split(sp, args=args)
+    monkeypatch.setattr(ObjectValue, "_id_counter", 0)
+    with remote_server(tenants=[tenant]) as address:
+        remote = run_split_remote(sp, address, args=args)
+    assert (remote.value, remote.output) == (local.value, local.output)
+    assert _wire_events(remote) == _wire_events(local)
+
+
+def test_import_split_still_parses_open_program():
+    manifest = export_split(make_split()[1])
+    manifest["open_program"] = "func void main( {"
+    with pytest.raises(LangError):
+        import_split(manifest)
+    del manifest["open_program"]
+    with pytest.raises(KeyError):
+        import_split(manifest)
