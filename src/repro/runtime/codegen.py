@@ -7,7 +7,8 @@ locals, loops become real ``while`` loops, step accounting is hoisted to a
 local counter that is flushed back in a ``finally``, operators are inlined
 (raw Python arithmetic where the static types prove it safe, guarded
 fast-path helpers otherwise), and the hidden-store / channel-callback
-machinery is bound as fast locals in the generated prologue.
+machinery is bound as fast locals in the generated prologue.  Both halves
+share one lowering core (:class:`_Lowering`); each side adds only hooks.
 
 Bit-identity contract: identical to the closure tier's — same outputs,
 same ``steps``, same per-statement-kind metric counts, same channel
@@ -24,6 +25,7 @@ function/fragment like the closure tier; wall-clock cost lands in
 ``repro_engine_compile_seconds{engine="codegen"}``.
 """
 
+import re
 import time
 
 from repro import obs
@@ -302,14 +304,16 @@ _EXEC_GLOBALS = {
 }
 
 
+
+
 class _Writer:
     """Indentation-aware line buffer for generated source."""
 
     __slots__ = ("lines", "_depth")
 
-    def __init__(self):
+    def __init__(self, depth=0):
         self.lines = []
-        self._depth = 0
+        self._depth = depth
 
     def line(self, text):
         self.lines.append("    " * self._depth + text)
@@ -322,6 +326,29 @@ class _Writer:
 
     def text(self):
         return "\n".join(self.lines) + "\n"
+
+    def extend(self, text):
+        """Splice already-indented generated ``text`` in verbatim."""
+        self.lines.extend(text.rstrip("\n").split("\n"))
+
+
+_WORD = re.compile(r"\w+")
+
+
+def _bind(w, bindings, text, always=()):
+    """Emit ``name = source`` for each binding ``(name, source)`` that the
+    generated ``text`` mentions (or ``always`` names), in table order."""
+    used = set(_WORD.findall(text)).union(always)
+    for name, source in bindings:
+        if name in used:
+            w.line("%s = %s" % (name, source))
+
+
+#: builtins whose result type does not depend on their arguments
+_BUILTIN_TYPES = {
+    "sqrt": "float", "exp": "float", "log": "float", "sin": "float",
+    "cos": "float", "pow": "float", "floor": "int", "len": "int",
+}
 
 
 def _subtree_has_calls(stmts):
@@ -352,7 +379,367 @@ def _has_direct_continue(stmts):
     return False
 
 
-# -- open-side generator -------------------------------------------------------
+# -- the shared lowering core --------------------------------------------------
+
+
+class _Lowering:
+    """Lowers statements and expressions to Python source for either half.
+
+    The core owns everything the two sides share: statement dispatch and
+    step ticks, control flow, operators, conditions, evaluation-order
+    hoisting, VarDecl coercion, and the ``build`` skeleton (hoisted step
+    counter, per-kind counters, ``finally`` flush, ``exec``).  A side
+    supplies only what differs:
+
+    - ``_HEAD``, ``_BINDINGS``, ``_COUNTS``: the prologue — signature,
+      fast-local bindings, and where per-kind counts flush to;
+    - ``_STEPS``, ``_LIMIT``, ``_TRUTHY``: who holds ``steps``, the
+      step-limit raise, and the truthiness helper;
+    - ``_load``, ``_store``, ``_decl_slot``: name read/write routing;
+    - ``_LOWER``: its own node kinds (calls, memory accesses, allocation,
+      returns, prints), plus ``_store_index``/``_store_field`` and
+      ``_ERR``/``_bad_target`` for the error messages it raises;
+    - ``_loop_catches``: which stray ``_Brk``/``_Cnt`` a loop must catch;
+    - ``_action`` (hidden only): the per-statement prefetch wrapper.
+    """
+
+    _ERR = ""  # prefix of the unknown-node messages
+
+    def __init__(self, counting):
+        self.counting = counting
+        self.w = None
+        self.consts = {}
+        self._const_ids = {}
+        self._ntmp = 0
+        self._nconst = 0
+        self.kinds = set()
+
+    # -- emission helpers ------------------------------------------------------
+
+    def temp(self):
+        self._ntmp += 1
+        return "_t%d" % self._ntmp
+
+    def const(self, obj):
+        key = id(obj)
+        name = self._const_ids.get(key)
+        if name is None:
+            name = "_k%d" % self._nconst
+            self._nconst += 1
+            self._const_ids[key] = name
+            self.consts[name] = obj
+        return name
+
+    def _as_temp(self, code):
+        """Ensure ``code`` is a name (so it can be referenced repeatedly)."""
+        if code.isidentifier():
+            return code
+        t = self.temp()
+        self.w.line("%s = %s" % (t, code))
+        return t
+
+    def _raise(self, message):
+        """Emit a raise of ``message``; the (unreachable) value is None."""
+        self.w.line("_err(%s)" % self.const(message))
+        return "None", None, True
+
+    def _emits(self, expr):
+        """True when compiling ``expr`` produces prologue statements (so
+        siblings evaluated earlier must be hoisted to preserve order)."""
+        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit,
+                             ast.VarRef)):
+            return False
+        if isinstance(expr, ast.BinaryOp):
+            return self._emits(expr.left) or self._emits(expr.right)
+        if isinstance(expr, ast.UnaryOp):
+            return self._emits(expr.operand)
+        if isinstance(expr, ast.NewArray) and ast.NewArray in self._LOWER:
+            return self._emits(expr.size)  # lowered inline
+        return True  # calls, memory accesses, and hoisted raises
+
+    def _seq(self, exprs):
+        """Compile ``exprs`` in evaluation order, hoisting earlier results
+        to temps whenever a later sibling emits statements."""
+        emits_after = []
+        flag = False
+        for e in reversed(exprs):
+            emits_after.append(flag)
+            flag = flag or self._emits(e)
+        emits_after.reverse()
+        out = []
+        for e, hoist in zip(exprs, emits_after):
+            code, typ, atomic = self.expr(e)
+            if hoist and not atomic:
+                t = self.temp()
+                self.w.line("%s = %s" % (t, code))
+                code, atomic = t, True
+            out.append((code, typ))
+        return out
+
+    def _args(self, exprs):
+        return ", ".join(code for code, _t in self._seq(list(exprs)))
+
+    # -- build -----------------------------------------------------------------
+
+    def _emit_def(self, stmts, tail=None, entry=(), always=()):
+        """Lower ``stmts`` (then a ``tail`` line) into the shared skeleton:
+        ``_HEAD``, the step counter hoisted to ``_s``, the ``_BINDINGS``
+        the body uses, per-kind counters, the ``entry`` lines, and a
+        ``finally`` that flushes both counters back (also on an abort).
+        Returns the writer."""
+        self.w = body = _Writer(2)
+        for stmt in stmts:
+            self.stmt(stmt, None)
+        if tail is not None:
+            body.line(tail)
+        text = body.text()
+        w = _Writer()
+        w.line(self._HEAD[0])
+        w.indent()
+        for line in self._HEAD[1:]:
+            w.line(line)
+        w.line("_s = %s.steps" % self._STEPS)
+        w.line("_lim = %s.max_steps" % self._STEPS)
+        w.line("if _lim is None: _lim = _INF")
+        _bind(w, self._BINDINGS, text, always)
+        kinds = sorted(self.kinds)
+        if self.counting:
+            w.line("_C = %s" % self._COUNTS)
+            for kind in kinds:
+                w.line("_n_%s = 0" % kind)
+        for line in entry:
+            w.line(line)
+        w.line("try:")
+        w.extend(text)
+        w.line("finally:")
+        w.indent()
+        w.line("%s.steps = _s" % self._STEPS)
+        if self.counting:
+            for kind in kinds:
+                w.line('if _n_%s: _C["%s"] = _C.get("%s", 0) + _n_%s'
+                       % (kind, kind, kind, kind))
+        w.dedent()
+        w.dedent()
+        return w
+
+    def _exec(self, w, name):
+        glb = dict(_EXEC_GLOBALS)
+        glb.update(self.consts)
+        exec(compile(w.text(), "<codegen:%s>" % name, "exec"), glb)
+        return glb
+
+    # -- statements ------------------------------------------------------------
+
+    def tick(self, kind=None):
+        self.w.line("_s += 1")
+        self.w.line("if _s > _lim: %s" % self._LIMIT)
+        if kind is not None and self.counting:
+            self.w.line("_n_%s += 1" % kind)
+            self.kinds.add(kind)
+
+    def stmt(self, stmt, loop):
+        self.tick(type(stmt).__name__)
+        self._action(stmt, loop)
+
+    def _action(self, stmt, loop):
+        w = self.w
+        if isinstance(stmt, ast.VarDecl):
+            if stmt.init is None:
+                code = repr(default_value(stmt.var_type))
+            else:
+                code, typ, _atomic = self.expr(stmt.init)
+                if isinstance(stmt.var_type, ast.FloatType):
+                    if typ in ("int", "bool"):
+                        code = "float(%s)" % code
+                    elif typ != "float":
+                        code = "_flt(%s)" % code
+            w.line("%s = %s" % (self._decl_slot(stmt.name), code))
+        elif isinstance(stmt, ast.Assign):
+            self._assign(stmt)
+        elif isinstance(stmt, ast.If):
+            w.line("if %s:" % self.cond(stmt.cond))
+            w.indent()
+            self._stmts(stmt.then_body, loop)
+            w.dedent()
+            if stmt.else_body:
+                w.line("else:")
+                w.indent()
+                self._stmts(stmt.else_body, loop)
+                w.dedent()
+        elif isinstance(stmt, ast.While):
+            w.line("while True:")
+            w.indent()
+            w.line("if not %s: break" % self.cond(stmt.cond))
+            self.tick()
+            self._loop_body(stmt, "while")
+            w.dedent()
+        elif isinstance(stmt, ast.For):
+            if stmt.init is not None:
+                self.stmt(stmt.init, loop)
+            w.line("while True:")
+            w.indent()
+            if stmt.cond is not None:
+                w.line("if not %s: break" % self.cond(stmt.cond))
+            self.tick()
+            self._loop_body(stmt, "for")
+            if stmt.update is not None:
+                self.stmt(stmt.update, loop)
+            w.dedent()
+        elif isinstance(stmt, ast.Break):
+            w.line("break" if loop else "raise _Brk()")
+        elif isinstance(stmt, ast.Continue):
+            # in a for body the handler catches it, so the update still runs
+            w.line("continue" if loop == "while" else "raise _Cnt()")
+        elif isinstance(stmt, ast.Block):
+            for s in stmt.body:
+                self.stmt(s, loop)
+        elif type(stmt) in self._LOWER:
+            self._LOWER[type(stmt)](self, stmt)
+        else:
+            self._raise(self._ERR + "cannot execute %r" % (stmt,))
+
+    def _stmts(self, stmts, loop):
+        for s in stmts:
+            self.stmt(s, loop)
+        if not stmts:
+            self.w.line("pass")
+
+    def _loop_body(self, stmt, loop):
+        w = self.w
+        catches = self._loop_catches(stmt)
+        if catches:
+            w.line("try:")
+            w.indent()
+        self._stmts(stmt.body, loop)
+        if catches:
+            w.dedent()
+        for exc in catches:
+            w.line("except %s:" % exc)
+            w.indent()
+            if exc == "_Brk":
+                w.line("break")
+            else:
+                w.line("continue" if loop == "while" else "pass")
+            w.dedent()
+
+    def _assign(self, stmt):
+        target = stmt.target
+        if isinstance(target, ast.VarRef):
+            code, _typ, _atomic = self.expr(stmt.value)
+            self._store(target.name, code)
+            return
+        vcode, _vt, vatomic = self.expr(stmt.value)
+        if not vatomic:
+            vcode = self._as_temp(vcode)
+        if isinstance(target, ast.Index):
+            self._store_index(target, vcode)
+        elif isinstance(target, ast.FieldAccess):
+            self._store_field(target, vcode)
+        else:
+            self._raise(self._bad_target(target))
+
+    # -- conditions ------------------------------------------------------------
+
+    def cond(self, expr):
+        """Compile ``expr`` as a Python boolean condition (AST truthiness)."""
+        code, typ, _atomic = self.expr(expr)
+        if typ == "bool":
+            return code
+        if typ == "int":
+            return "(%s != 0)" % code
+        return "%s(%s)" % (self._TRUTHY, code)
+
+    # -- expressions -----------------------------------------------------------
+
+    def expr(self, expr):
+        """Returns ``(code, type, atomic)``; may emit prologue lines."""
+        if isinstance(expr, ast.BoolLit):
+            return ("True" if expr.value else "False"), "bool", True
+        if isinstance(expr, ast.IntLit):
+            return repr(expr.value), "int", True
+        if isinstance(expr, ast.FloatLit):
+            return repr(expr.value), "float", True
+        if isinstance(expr, ast.VarRef):
+            return self._load(expr.name)
+        if isinstance(expr, ast.BinaryOp):
+            return self._binary(expr)
+        if isinstance(expr, ast.UnaryOp):
+            code, typ, _atomic = self.expr(expr.operand)
+            if expr.op == "-":
+                if typ in ("int", "float"):
+                    return "(-%s)" % code, typ, False
+                return "_gneg(%s)" % code, None, False
+            if expr.op == "!":
+                if typ == "bool":
+                    return "(not %s)" % code, "bool", False
+                return "_gnot(%s)" % code, "bool", False
+            t = self._as_temp(code)
+            self._raise("unknown unary operator %r" % expr.op)
+            return t, None, True
+        if type(expr) in self._LOWER:
+            return self._LOWER[type(expr)](self, expr)
+        return self._raise(self._ERR + "cannot evaluate %r" % (expr,))
+
+    def _binary(self, expr):
+        w = self.w
+        op = expr.op
+
+        if op in ("&&", "||"):
+            keyword = "and" if op == "&&" else "or"
+            if not self._emits(expr.right):
+                lcode = self.cond(expr.left)
+                rcode = self.cond(expr.right)
+                return "(%s %s %s)" % (lcode, keyword, rcode), "bool", False
+            # impure right-hand side: short-circuit via an if-block
+            t = self.temp()
+            w.line("%s = %s" % (t, self.cond(expr.left)))
+            w.line("if %s%s:" % ("" if op == "&&" else "not ", t))
+            w.indent()
+            w.line("%s = %s" % (t, self.cond(expr.right)))
+            w.dedent()
+            return t, "bool", True
+
+        pieces = self._seq([expr.left, expr.right])
+        (lcode, lt), (rcode, rt) = pieces
+        numeric = ("int", "float")
+
+        if op in ("==", "!="):
+            return "(%s %s %s)" % (lcode, op, rcode), "bool", False
+        if op in ("<", "<=", ">", ">="):
+            if lt in numeric and rt in numeric:
+                return "(%s %s %s)" % (lcode, op, rcode), "bool", False
+            helper = {"<": "_glt", "<=": "_gle", ">": "_ggt", ">=": "_gge"}[op]
+            return "%s(%s, %s)" % (helper, lcode, rcode), "bool", False
+        if op in ("+", "-", "*"):
+            if lt in numeric and rt in numeric:
+                typ = "int" if (lt == "int" and rt == "int") else "float"
+                return "(%s %s %s)" % (lcode, op, rcode), typ, False
+            helper = {"+": "_gadd", "-": "_gsub", "*": "_gmul"}[op]
+            return "%s(%s, %s)" % (helper, lcode, rcode), None, False
+        if op == "/":
+            typ = None
+            if lt in numeric and rt in numeric:
+                typ = "int" if (lt == "int" and rt == "int") else "float"
+            return "_div(%s, %s)" % (lcode, rcode), typ, False
+        if op == "%":
+            typ = "int" if (lt == "int" and rt == "int") else None
+            return "_rem(%s, %s)" % (lcode, rcode), typ, False
+
+        # unknown operator: defer to binary_op for its operand-first
+        # error order
+        t = self.temp()
+        w.line("%s = %s(%s, %s, %s)"
+               % (t, self.const(binary_op), self.const(op), lcode, rcode))
+        return t, None, True
+
+    def _builtin(self, expr, typ):
+        args = self._args(expr.args)
+        if len(expr.args) == 1:
+            args += ","
+        return '_cb("%s", (%s))' % (expr.name, args), typ, False
+
+
+# -- open side -----------------------------------------------------------------
 
 
 class OpenCodegen:
@@ -412,17 +799,28 @@ class OpenCodegen:
         return run
 
 
-class _FnCodegen:
+class _FnCodegen(_Lowering):
     """Emits the Python source for one open function body."""
 
+    _HEAD = ("def __gen(I, env):",)
+    _BINDINGS = (
+        ("_L", "env.locals"),
+        ("_G", "I.globals"),
+        ("_h", "I.hidden"),
+        ("_call", "I.call_function"),
+        ("_lk", "I.lookup"),
+        ("_as", "I.assign_name"),
+        ("_oa", "I.open_access"),
+    )
+    _COUNTS = "I._stmt_counts"
+    _STEPS = "I"
+    _LIMIT = "_e_lim(I)"
+    _TRUTHY = "_T"
+
     def __init__(self, owner, fn):
+        super().__init__(owner._counting)
         self.owner = owner
         self.fn = fn
-        self.w = _Writer()
-        self.consts = {}
-        self._const_ids = {}
-        self._ntmp = 0
-        self._nconst = 0
         self.uses_hidden = any(
             isinstance(e, ast.Call) and e.name in ("hopen", "hcall", "hclose")
             for stmt in ast.walk_stmts(fn.body)
@@ -548,13 +946,7 @@ class _FnCodegen:
                 op = expr.op
                 if op in ("&&", "||", "==", "!=", "<", "<=", ">", ">="):
                     return "bool"
-                if op in ("+", "-", "*"):
-                    if lt == "int" and rt == "int":
-                        return "int"
-                    if lt in ("int", "float") and rt in ("int", "float"):
-                        return "float"
-                    return None
-                if op == "/":
+                if op in ("+", "-", "*", "/"):
                     if lt == "int" and rt == "int":
                         return "int"
                     if lt in ("int", "float") and rt in ("int", "float"):
@@ -574,14 +966,12 @@ class _FnCodegen:
                 return None
             if isinstance(expr, ast.Call):
                 name = expr.name
-                if name in ("sqrt", "exp", "log", "sin", "cos", "pow"):
-                    return "float"
-                if name in ("floor", "len", "hopen", "hclose"):
+                if name in ("hopen", "hclose"):
                     return "int"
                 if name == "abs":
                     at = etype(expr.args[0]) if expr.args else None
                     return at if at in ("int", "float") else None
-                return None
+                return _BUILTIN_TYPES.get(name)
             return None
 
         self._etype = etype
@@ -622,343 +1012,17 @@ class _FnCodegen:
                         changed = True
         return types
 
-    # -- emission helpers ------------------------------------------------------
-
-    def temp(self):
-        self._ntmp += 1
-        return "_t%d" % self._ntmp
-
-    def const(self, obj):
-        key = id(obj)
-        name = self._const_ids.get(key)
-        if name is None:
-            name = "_k%d" % self._nconst
-            self._nconst += 1
-            self._const_ids[key] = name
-            self.consts[name] = obj
-        return name
-
-    def _emits(self, expr):
-        """True when compiling ``expr`` produces prologue statements (so
-        siblings evaluated earlier must be hoisted to preserve order)."""
-        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit,
-                             ast.VarRef)):
-            return False
-        if isinstance(expr, (ast.Call, ast.MethodCall, ast.Index,
-                             ast.FieldAccess, ast.NewObject)):
-            return True
-        if isinstance(expr, ast.BinaryOp):
-            return self._emits(expr.left) or self._emits(expr.right)
-        if isinstance(expr, ast.UnaryOp):
-            return self._emits(expr.operand)
-        if isinstance(expr, ast.NewArray):
-            return self._emits(expr.size)
-        return True  # unknown nodes compile to a hoisted raise
-
-    def _seq(self, exprs):
-        """Compile ``exprs`` in evaluation order, hoisting earlier results
-        to temps whenever a later sibling emits statements."""
-        emits_after = []
-        flag = False
-        for e in reversed(exprs):
-            emits_after.append(flag)
-            flag = flag or self._emits(e)
-        emits_after.reverse()
-        out = []
-        for e, hoist in zip(exprs, emits_after):
-            code, typ, atomic = self.expr(e)
-            if hoist and not atomic:
-                t = self.temp()
-                self.w.line("%s = %s" % (t, code))
-                code, atomic = t, True
-            out.append((code, typ))
-        return out
-
-    # -- statements ------------------------------------------------------------
-
-    def tick(self, kind=None):
-        self.w.line("_s += 1")
-        self.w.line("if _s > _lim: _e_lim(I)")
-        if kind is not None and self.owner._counting:
-            self.w.line("_n_%s += 1" % kind)
-            self.kinds.add(kind)
+    # -- build -----------------------------------------------------------------
 
     def build(self):
         fn = self.fn
-        self.kinds = set()
-        body_w = _Writer()
-        outer = self.w
-        self.w = body_w
-        body_w.indent()
-        body_w.indent()
-        for stmt in fn.body:
-            self.stmt(stmt, None)
-        body_w.line("return None")
-        self.w = outer
-        body_text = body_w.text()
+        entry = ['%s = _L["%s"]' % (self.regs[p.name], p.name)
+                 for p in fn.params if p.name in self.regs]
+        w = self._emit_def(fn.body, "return None", entry,
+                           always=("_L",) if entry else ())
+        return self._exec(w, fn.qualified_name)["__gen"]
 
-        w = self.w
-        w.line("def __gen(I, env):")
-        w.indent()
-        w.line("_s = I.steps")
-        w.line("_lim = I.max_steps")
-        w.line("if _lim is None: _lim = _INF")
-        import re
-        def used(name):
-            return re.search(r"\b%s\b" % name, body_text) is not None
-        if used("_L") or self.regs and any(
-            p.name in self.regs for p in fn.params
-        ):
-            w.line("_L = env.locals")
-        if used("_G"):
-            w.line("_G = I.globals")
-        if used("_h"):
-            w.line("_h = I.hidden")
-        if used("_call"):
-            w.line("_call = I.call_function")
-        if used("_lk"):
-            w.line("_lk = I.lookup")
-        if used("_as"):
-            w.line("_as = I.assign_name")
-        if used("_oa"):
-            w.line("_oa = I.open_access")
-        if self.owner._counting:
-            w.line("_C = I._stmt_counts")
-            for kind in sorted(self.kinds):
-                w.line("_n_%s = 0" % kind)
-        for p in fn.params:
-            if p.name in self.regs:
-                w.line('%s = _L["%s"]' % (self.regs[p.name], p.name))
-        w.line("try:")
-        self.w.lines.extend(body_text.rstrip("\n").split("\n"))
-        w.line("finally:")
-        w.indent()
-        w.line("I.steps = _s")
-        if self.owner._counting:
-            for kind in sorted(self.kinds):
-                w.line('if _n_%s: _C["%s"] = _C.get("%s", 0) + _n_%s'
-                       % (kind, kind, kind, kind))
-        w.dedent()
-        w.dedent()
-
-        src = w.text()
-        glb = dict(_EXEC_GLOBALS)
-        glb.update(self.consts)
-        code = compile(src, "<codegen:%s>" % fn.qualified_name, "exec")
-        exec(code, glb)
-        return glb["__gen"]
-
-    def stmt(self, stmt, loop):
-        kind = type(stmt).__name__
-        w = self.w
-
-        if isinstance(stmt, ast.VarDecl):
-            self.tick(kind)
-            self._emit_vardecl(stmt)
-            return
-        if isinstance(stmt, ast.Assign):
-            self.tick(kind)
-            self._emit_assign(stmt)
-            return
-        if isinstance(stmt, ast.If):
-            self.tick(kind)
-            cond = self.cond(stmt.cond)
-            w.line("if %s:" % cond)
-            w.indent()
-            if stmt.then_body:
-                for s in stmt.then_body:
-                    self.stmt(s, loop)
-            else:
-                w.line("pass")
-            w.dedent()
-            if stmt.else_body:
-                w.line("else:")
-                w.indent()
-                for s in stmt.else_body:
-                    self.stmt(s, loop)
-                w.dedent()
-            return
-        if isinstance(stmt, ast.While):
-            self.tick(kind)
-            handlers = _subtree_has_calls(stmt.body)
-            w.line("while True:")
-            w.indent()
-            cond = self.cond(stmt.cond)
-            w.line("if not %s: break" % cond)
-            self.tick()
-            self._loop_body(stmt.body, "while", handlers, catch_continue=True)
-            w.dedent()
-            return
-        if isinstance(stmt, ast.For):
-            self.tick(kind)
-            if stmt.init is not None:
-                self.stmt(stmt.init, loop)
-            handlers = (
-                _subtree_has_calls(stmt.body)
-                or _has_direct_continue(stmt.body)
-            )
-            w.line("while True:")
-            w.indent()
-            if stmt.cond is not None:
-                cond = self.cond(stmt.cond)
-                w.line("if not %s: break" % cond)
-            self.tick()
-            self._loop_body(stmt.body, "for", handlers, catch_continue=False)
-            if stmt.update is not None:
-                self.stmt(stmt.update, loop)
-            w.dedent()
-            return
-        if isinstance(stmt, ast.Return):
-            self.tick(kind)
-            if stmt.value is None:
-                w.line("return None")
-                return
-            code, typ, _atomic = self.expr(stmt.value)
-            if self.fn.ret_type is not None and isinstance(
-                self.fn.ret_type, ast.FloatType
-            ):
-                if typ in ("int", "bool"):
-                    code = "float(%s)" % code
-                elif typ != "float":
-                    t = self.temp()
-                    w.line("%s = %s" % (t, code))
-                    w.line(
-                        "if %s is not None and isinstance(%s, int): "
-                        "%s = float(%s)" % (t, t, t, t)
-                    )
-                    code = t
-            w.line("return %s" % code)
-            return
-        if isinstance(stmt, ast.CallStmt):
-            self.tick(kind)
-            code, _typ, atomic = self.expr(stmt.call)
-            if not atomic:
-                self.w.line(code)
-            return
-        if isinstance(stmt, ast.Print):
-            self.tick(kind)
-            code, _typ, _atomic = self.expr(stmt.value)
-            w.line("I.output.append(_repr(%s))" % code)
-            return
-        if isinstance(stmt, ast.Break):
-            self.tick(kind)
-            if loop is None:
-                w.line("raise _Brk()")
-            else:
-                w.line("break")
-            return
-        if isinstance(stmt, ast.Continue):
-            self.tick(kind)
-            if loop is None:
-                w.line("raise _Cnt()")
-            elif loop == "for":
-                w.line("raise _Cnt()")  # caught by the For handler: update runs
-            else:
-                w.line("continue")
-            return
-        if isinstance(stmt, ast.Block):
-            self.tick(kind)
-            for s in stmt.body:
-                self.stmt(s, loop)
-            return
-        # unknown statement kind: tick/count, then the AST engine's message
-        self.tick(kind)
-        w.line("_err(%s)" % self.const("cannot execute %r" % (stmt,)))
-
-    def _loop_body(self, body, loop, handlers, catch_continue):
-        w = self.w
-        if handlers:
-            w.line("try:")
-            w.indent()
-        for s in body:
-            self.stmt(s, loop)
-        if not body:
-            w.line("pass")
-        if handlers:
-            w.dedent()
-            w.line("except _Brk:")
-            w.indent()
-            w.line("break")
-            w.dedent()
-            w.line("except _Cnt:")
-            w.indent()
-            w.line("continue" if catch_continue else "pass")
-            w.dedent()
-
-    def _emit_vardecl(self, stmt):
-        w = self.w
-        name = stmt.name
-        reg = self.regs.get(name)
-        if stmt.init is None:
-            value = default_value(stmt.var_type)
-            code = repr(value)
-        else:
-            code, typ, _atomic = self.expr(stmt.init)
-            if isinstance(stmt.var_type, ast.FloatType):
-                if typ in ("int", "bool"):
-                    code = "float(%s)" % code
-                elif typ != "float":
-                    code = "_flt(%s)" % code
-        if reg is not None:
-            w.line("%s = %s" % (reg, code))
-        else:
-            w.line('_L["%s"] = %s' % (name, code))
-
-    def _emit_assign(self, stmt):
-        w = self.w
-        target = stmt.target
-        if isinstance(target, ast.VarRef):
-            name = target.name
-            reg = self.regs.get(name)
-            code, _typ, _atomic = self.expr(stmt.value)
-            if reg is not None:
-                w.line("%s = %s" % (reg, code))
-            elif self._is_pure_global(name):
-                w.line('_G["%s"] = %s' % (name, code))
-            else:
-                w.line('_as(env, "%s", %s)' % (name, code))
-            return
-        if isinstance(target, ast.Index):
-            # AST order: value, base, array check, index, index checks, set
-            vcode, _vt, vatomic = self.expr(stmt.value)
-            if not vatomic:
-                vcode = self._as_temp(vcode)
-            bcode, _bt, _batomic = self.expr(target.base)
-            tb = self._as_temp(bcode)
-            w.line("if %s.__class__ is not _Arr: _e_ania(%s)" % (tb, tb))
-            icode, it, _iatomic = self.expr(target.index)
-            ti = self._as_temp(icode)
-            te = self.temp()
-            w.line("%s = %s.elems" % (te, tb))
-            if it != "int":
-                w.line("if %s.__class__ is not int: _e_bidx(%s)" % (ti, ti))
-            w.line("if %s < 0 or %s >= len(%s): _e_oob(%s, len(%s))"
-                   % (ti, ti, te, ti, te))
-            w.line("%s[%s] = %s" % (te, ti, vcode))
-            return
-        if isinstance(target, ast.FieldAccess):
-            vcode, _vt, vatomic = self.expr(stmt.value)
-            if not vatomic:
-                vcode = self._as_temp(vcode)
-            ocode, _ot, _oatomic = self.expr(target.obj)
-            to = self._as_temp(ocode)
-            w.line("if %s.__class__ is not _Obj: _e_anof(%s)" % (to, to))
-            w.line('%s.fields["%s"] = %s' % (to, target.name, vcode))
-            return
-        # invalid target: value evaluates first, then the AST engine's error
-        vcode, _vt, vatomic = self.expr(stmt.value)
-        if not vatomic:
-            self._as_temp(vcode)
-        w.line("_err(%s)" % self.const("invalid assignment target %r"
-                                       % (target,)))
-
-    def _as_temp(self, code):
-        """Ensure ``code`` is a name (so it can be referenced repeatedly)."""
-        if code.isidentifier():
-            return code
-        t = self.temp()
-        self.w.line("%s = %s" % (t, code))
-        return t
+    # -- hooks: name routing, loops --------------------------------------------
 
     def _is_pure_global(self, name):
         """Reads/writes of ``name`` go straight to ``I.globals``: it can
@@ -969,167 +1033,134 @@ class _FnCodegen:
             and name not in self.regs
         )
 
-    # -- conditions ------------------------------------------------------------
+    def _load(self, name):
+        reg = self.regs.get(name)
+        if reg is not None:
+            return reg, self.types.get(name), True
+        if self._is_pure_global(name):
+            return '_G["%s"]' % name, None, False
+        return '_lk(env, "%s")' % name, None, False
 
-    def cond(self, expr):
-        """Compile ``expr`` as a Python boolean condition (AST truthiness)."""
-        code, typ, _atomic = self.expr(expr)
-        if typ == "bool":
-            return code
-        if typ == "int":
-            return "(%s != 0)" % code
-        return "_T(%s)" % code
+    def _store(self, name, code):
+        reg = self.regs.get(name)
+        if reg is not None:
+            self.w.line("%s = %s" % (reg, code))
+        elif self._is_pure_global(name):
+            self.w.line('_G["%s"] = %s' % (name, code))
+        else:
+            self.w.line('_as(env, "%s", %s)' % (name, code))
 
-    # -- expressions -----------------------------------------------------------
+    def _decl_slot(self, name):
+        return self.regs.get(name) or '_L["%s"]' % name
 
-    def expr(self, expr):
-        """Returns ``(code, type, atomic)``; may emit prologue lines."""
+    def _loop_catches(self, stmt):
+        if _subtree_has_calls(stmt.body) or (
+            isinstance(stmt, ast.For) and _has_direct_continue(stmt.body)
+        ):
+            return ("_Brk", "_Cnt")
+        return ()
+
+    def _bad_target(self, target):
+        return "invalid assignment target %r" % (target,)
+
+    # -- hooks: open-only statements -------------------------------------------
+
+    def _return(self, stmt):
         w = self.w
+        if stmt.value is None:
+            w.line("return None")
+            return
+        code, typ, _atomic = self.expr(stmt.value)
+        if isinstance(self.fn.ret_type, ast.FloatType):
+            if typ in ("int", "bool"):
+                code = "float(%s)" % code
+            elif typ != "float":
+                t = self.temp()
+                w.line("%s = %s" % (t, code))
+                w.line(
+                    "if %s is not None and isinstance(%s, int): "
+                    "%s = float(%s)" % (t, t, t, t)
+                )
+                code = t
+        w.line("return %s" % code)
 
-        if isinstance(expr, ast.BoolLit):
-            return ("True" if expr.value else "False"), "bool", True
-        if isinstance(expr, ast.IntLit):
-            return repr(expr.value), "int", True
-        if isinstance(expr, ast.FloatLit):
-            return repr(expr.value), "float", True
+    def _call_stmt(self, stmt):
+        code, _typ, atomic = self.expr(stmt.call)
+        if not atomic:
+            self.w.line(code)
 
-        if isinstance(expr, ast.VarRef):
-            name = expr.name
-            reg = self.regs.get(name)
-            if reg is not None:
-                return reg, self.types.get(name), True
-            if self._is_pure_global(name):
-                return '_G["%s"]' % name, None, False
-            return '_lk(env, "%s")' % name, None, False
+    def _print(self, stmt):
+        code, _typ, _atomic = self.expr(stmt.value)
+        self.w.line("I.output.append(_repr(%s))" % code)
 
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr)
+    # -- hooks: memory ---------------------------------------------------------
 
-        if isinstance(expr, ast.UnaryOp):
-            code, typ, atomic = self.expr(expr.operand)
-            if expr.op == "-":
-                if typ in ("int", "float"):
-                    return "(-%s)" % code, typ, False
-                return "_gneg(%s)" % code, None, False
-            if expr.op == "!":
-                if typ == "bool":
-                    return "(not %s)" % code, "bool", False
-                return "_gnot(%s)" % code, "bool", False
-            t = self.temp()
-            w.line("%s = %s" % (t, code))
-            w.line("_err(%s)" % self.const(
-                "unknown unary operator %r" % expr.op))
-            return t, None, True
-
-        if isinstance(expr, ast.Call):
-            return self._call(expr)
-
-        if isinstance(expr, ast.MethodCall):
-            return self._method_call(expr)
-
-        if isinstance(expr, ast.Index):
-            # AST order: base, array check, index, index checks, read
-            bcode, _bt, _batomic = self.expr(expr.base)
-            tb = self._as_temp(bcode)
-            w.line("if %s.__class__ is not _Arr: _e_nia(%s)" % (tb, tb))
-            icode, it, _iatomic = self.expr(expr.index)
-            ti = self._as_temp(icode)
-            te = self.temp()
-            w.line("%s = %s.elems" % (te, tb))
-            if it != "int":
-                w.line("if %s.__class__ is not int: _e_bidx(%s)" % (ti, ti))
-            w.line("if %s < 0 or %s >= len(%s): _e_oob(%s, len(%s))"
-                   % (ti, ti, te, ti, te))
-            t = self.temp()
-            w.line("%s = %s[%s]" % (t, te, ti))
-            return t, None, True
-
-        if isinstance(expr, ast.FieldAccess):
-            ocode, _ot, _atomic = self.expr(expr.obj)
-            to = self._as_temp(ocode)
-            w.line("if %s.__class__ is not _Obj: _e_fano(%s)" % (to, to))
-            tf = self.temp()
-            w.line("%s = %s.fields" % (tf, to))
-            w.line('if "%s" not in %s: _e_nof(%s, "%s")'
-                   % (expr.name, tf, to, expr.name))
-            t = self.temp()
-            w.line('%s = %s["%s"]' % (t, tf, expr.name))
-            return t, None, True
-
-        if isinstance(expr, ast.NewArray):
-            scode, _st, _atomic = self.expr(expr.size)
-            et = self.const(expr.elem_type)
-            return "_Arr.of_size(%s, %s)" % (et, scode), None, False
-
-        if isinstance(expr, ast.NewObject):
-            cname = expr.class_name
-            cls = self.owner._classes.get(cname)
-            if cls is None:
-                w.line("_err(%s)" % self.const("no class %r" % cname))
-                return "None", None, True
-            field_defaults = tuple(
-                (f.name, default_value(f.field_type)) for f in cls.fields
-            )
-            fd = self.const(field_defaults)
-            t = self.temp()
-            w.line('%s = _Obj("%s", dict(%s))' % (t, cname, fd))
-            w.line("if _h is not None: _h.notify_new_instance(%s)" % t)
-            return t, None, True
-
-        w.line("_err(%s)" % self.const("cannot evaluate %r" % (expr,)))
-        return "None", None, True
-
-    def _binary(self, expr):
+    def _elem(self, expr, not_array):
+        """AST order: base, array check, index, index checks.  Returns the
+        ``(elems, index)`` temps of the checked element."""
         w = self.w
-        op = expr.op
+        bcode, _bt, _batomic = self.expr(expr.base)
+        tb = self._as_temp(bcode)
+        w.line("if %s.__class__ is not _Arr: %s(%s)" % (tb, not_array, tb))
+        icode, it, _iatomic = self.expr(expr.index)
+        ti = self._as_temp(icode)
+        te = self.temp()
+        w.line("%s = %s.elems" % (te, tb))
+        if it != "int":
+            w.line("if %s.__class__ is not int: _e_bidx(%s)" % (ti, ti))
+        w.line("if %s < 0 or %s >= len(%s): _e_oob(%s, len(%s))"
+               % (ti, ti, te, ti, te))
+        return te, ti
 
-        if op in ("&&", "||"):
-            keyword = "and" if op == "&&" else "or"
-            if not self._emits(expr.right):
-                lcode = self.cond(expr.left)
-                rcode = self.cond(expr.right)
-                return "(%s %s %s)" % (lcode, keyword, rcode), "bool", False
-            # impure right-hand side: short-circuit via an if-block
-            t = self.temp()
-            w.line("%s = %s" % (t, self.cond(expr.left)))
-            w.line("if %s%s:" % ("" if op == "&&" else "not ", t))
-            w.indent()
-            w.line("%s = %s" % (t, self.cond(expr.right)))
-            w.dedent()
-            return t, "bool", True
-
-        pieces = self._seq([expr.left, expr.right])
-        (lcode, lt), (rcode, rt) = pieces
-        numeric = ("int", "float")
-
-        if op in ("==", "!="):
-            return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-        if op in ("<", "<=", ">", ">="):
-            if lt in numeric and rt in numeric:
-                return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-            helper = {"<": "_glt", "<=": "_gle", ">": "_ggt", ">=": "_gge"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), "bool", False
-        if op in ("+", "-", "*"):
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-                return "(%s %s %s)" % (lcode, op, rcode), typ, False
-            helper = {"+": "_gadd", "-": "_gsub", "*": "_gmul"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), None, False
-        if op == "/":
-            typ = None
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-            return "_div(%s, %s)" % (lcode, rcode), typ, False
-        if op == "%":
-            typ = "int" if (lt == "int" and rt == "int") else None
-            return "_rem(%s, %s)" % (lcode, rcode), typ, False
-
-        # unknown operator: defer to binary_op for its operand-first
-        # error order
+    def _index(self, expr):
+        te, ti = self._elem(expr, "_e_nia")
         t = self.temp()
-        w.line("%s = %s(%s, %s, %s)"
-               % (t, self.const(binary_op), self.const(op), lcode, rcode))
+        self.w.line("%s = %s[%s]" % (t, te, ti))
         return t, None, True
+
+    def _store_index(self, target, vcode):
+        te, ti = self._elem(target, "_e_ania")
+        self.w.line("%s[%s] = %s" % (te, ti, vcode))
+
+    def _field(self, expr):
+        w = self.w
+        ocode, _ot, _atomic = self.expr(expr.obj)
+        to = self._as_temp(ocode)
+        w.line("if %s.__class__ is not _Obj: _e_fano(%s)" % (to, to))
+        tf = self.temp()
+        w.line("%s = %s.fields" % (tf, to))
+        w.line('if "%s" not in %s: _e_nof(%s, "%s")'
+               % (expr.name, tf, to, expr.name))
+        t = self.temp()
+        w.line('%s = %s["%s"]' % (t, tf, expr.name))
+        return t, None, True
+
+    def _store_field(self, target, vcode):
+        ocode, _ot, _oatomic = self.expr(target.obj)
+        to = self._as_temp(ocode)
+        self.w.line("if %s.__class__ is not _Obj: _e_anof(%s)" % (to, to))
+        self.w.line('%s.fields["%s"] = %s' % (to, target.name, vcode))
+
+    def _new_array(self, expr):
+        scode, _st, _atomic = self.expr(expr.size)
+        et = self.const(expr.elem_type)
+        return "_Arr.of_size(%s, %s)" % (et, scode), None, False
+
+    def _new_object(self, expr):
+        cname = expr.class_name
+        cls = self.owner._classes.get(cname)
+        if cls is None:
+            return self._raise("no class %r" % cname)
+        field_defaults = tuple(
+            (f.name, default_value(f.field_type)) for f in cls.fields
+        )
+        fd = self.const(field_defaults)
+        t = self.temp()
+        self.w.line('%s = _Obj("%s", dict(%s))' % (t, cname, fd))
+        self.w.line("if _h is not None: _h.notify_new_instance(%s)" % t)
+        return t, None, True
+
+    # -- hooks: calls ----------------------------------------------------------
 
     def _sync_call(self, lhs, call_code):
         w = self.w
@@ -1144,48 +1175,30 @@ class _FnCodegen:
         w.dedent()
 
     def _call(self, expr):
-        w = self.w
         name = expr.name
-
         if name in ("hopen", "hcall", "hclose"):
             return self._hidden_builtin(expr)
-
         if name in BUILTIN_SIGNATURES:
-            pieces = self._seq(list(expr.args))
-            args = ", ".join(code for code, _t in pieces)
-            if len(pieces) == 1:
-                args += ","
-            typ = self._etype(expr)
-            return '_cb("%s", (%s))' % (name, args), typ, False
+            return self._builtin(expr, self._etype(expr))
 
         target = self.owner._functions.get(name)
+        receiver = ""
+        if target is None and self.fn.owner is not None:
+            target = self.owner._methods.get((self.fn.owner, name))
+            receiver = ", env.receiver"
         if target is not None:
-            pieces = self._seq(list(expr.args))
-            args = ", ".join(code for code, _t in pieces)
+            args = self._args(expr.args)
             t = self.temp()
-            self._sync_call(t, "_call(%s, [%s])" % (self.const(target), args))
+            self._sync_call(t, "_call(%s, [%s]%s)"
+                            % (self.const(target), args, receiver))
             return t, None, True
-
-        if self.fn.owner is not None:
-            method = self.owner._methods.get((self.fn.owner, name))
-            if method is not None:
-                pieces = self._seq(list(expr.args))
-                args = ", ".join(code for code, _t in pieces)
-                t = self.temp()
-                self._sync_call(
-                    t,
-                    "_call(%s, [%s], env.receiver)"
-                    % (self.const(method), args),
-                )
-                return t, None, True
 
         # unknown function: arguments evaluate first (AST order), then raise
         for e in expr.args:
             code, _typ, atomic = self.expr(e)
             if not atomic:
                 self._as_temp(code)
-        w.line("_err(%s)" % self.const("no function %r" % name))
-        return "None", None, True
+        return self._raise("no function %r" % name)
 
     def _method_call(self, expr):
         w = self.w
@@ -1196,8 +1209,7 @@ class _FnCodegen:
         w.line('%s = _M.get((%s.class_name, "%s"))' % (tm, tr, expr.name))
         self.consts["_M"] = self.owner._methods
         w.line('if %s is None: _e_nomm(%s, "%s")' % (tm, tr, expr.name))
-        pieces = self._seq(list(expr.args))
-        args = ", ".join(code for code, _t in pieces)
+        args = self._args(expr.args)
         t = self.temp()
         self._sync_call(t, "_call(%s, [%s], %s)" % (tm, args, tr))
         return t, None, True
@@ -1216,19 +1228,29 @@ class _FnCodegen:
             w.line("_h.close_activation(%s)" % code)
             return "0", "int", True
         pieces = self._seq(list(expr.args))
-        hid_code = pieces[0][0]
-        label_code = pieces[1][0]
         values = ", ".join(code for code, _t in pieces[2:])
         t = self.temp()
         w.line("%s = _h.call(%s, %s, [%s], _oa(env))"
-               % (t, hid_code, label_code, values))
+               % (t, pieces[0][0], pieces[1][0], values))
         return t, None, True
 
+    _LOWER = {
+        ast.Return: _return,
+        ast.CallStmt: _call_stmt,
+        ast.Print: _print,
+        ast.Call: _call,
+        ast.MethodCall: _method_call,
+        ast.Index: _index,
+        ast.FieldAccess: _field,
+        ast.NewArray: _new_array,
+        ast.NewObject: _new_object,
+    }
 
-# -- hidden-side generator -----------------------------------------------------
+
+# -- hidden side ---------------------------------------------------------------
 
 
-class _FragCodegen:
+class _FragCodegen(_Lowering):
     """Emits Python source for one hidden fragment (body + result expr).
 
     Hidden locals stay in the activation ``env`` dict — they persist
@@ -1239,492 +1261,160 @@ class _FragCodegen:
     ``_FragmentEvaluator`` callbacks (channel accounting lives there).
     """
 
+    _HEAD = ("def __frag(ev):", "server = ev.server")
+    _BINDINGS = (
+        ("_env", "ev.env"),
+        ("_pm", "ev.prefetch_map"),
+        ("_bc", "ev._batch_cache"),
+        ("_HG", "server.hidden_globals"),
+        ("_ifd", "ev._instance_fields"),
+        ("_cfi", "ev._cb_fetch_index"),
+        ("_csi", "ev._cb_store_index"),
+        ("_cff", "ev._cb_fetch_field"),
+        ("_csf", "ev._cb_store_field"),
+    )
+    #: the result expression's bindings: it neither prefetches nor stores
+    _RESULT_BINDINGS = (
+        ("_env", "ev.env"),
+        ("_bc", "ev._batch_cache"),
+        ("_HG", "ev.server.hidden_globals"),
+        ("_ifd", "ev._instance_fields"),
+        ("_cfi", "ev._cb_fetch_index"),
+        ("_cff", "ev._cb_fetch_field"),
+    )
+    _COUNTS = "ev.stmt_counts"
+    _STEPS = "server"
+    _LIMIT = "_e_hlim(server)"
+    _TRUTHY = "_HT"
+    _ERR = "hidden fragment "
+
     def __init__(self, fragment, storage_map, counting):
+        super().__init__(counting)
         self.fragment = fragment
         self.storage = storage_map
-        self.counting = counting
-        self.w = _Writer()
-        self.consts = {}
-        self._const_ids = {}
-        self._ntmp = 0
-        self._nconst = 0
-        self.kinds = set()
         # which statements *can* carry a prefetch manifest entry: same
         # resolution the server performs at call time, so the generated
         # probe sites line up with the runtime ``prefetch_map`` keys
         self.stmt_map, self.result_reads = resolve_prefetch(fragment)
 
-    # -- shared emission helpers ----------------------------------------------
-
-    def temp(self):
-        self._ntmp += 1
-        return "_t%d" % self._ntmp
-
-    def const(self, obj):
-        key = id(obj)
-        name = self._const_ids.get(key)
-        if name is None:
-            name = "_k%d" % self._nconst
-            self._nconst += 1
-            self._const_ids[key] = name
-            self.consts[name] = obj
-        return name
-
-    def _as_temp(self, code):
-        if code.isidentifier():
-            return code
-        t = self.temp()
-        self.w.line("%s = %s" % (t, code))
-        return t
-
-    def _emits(self, expr):
-        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit,
-                             ast.VarRef)):
-            return False
-        if isinstance(expr, (ast.Call, ast.Index, ast.FieldAccess)):
-            return True
-        if isinstance(expr, ast.BinaryOp):
-            return self._emits(expr.left) or self._emits(expr.right)
-        if isinstance(expr, ast.UnaryOp):
-            return self._emits(expr.operand)
-        return True
-
-    def _seq(self, exprs):
-        emits_after = []
-        flag = False
-        for e in reversed(exprs):
-            emits_after.append(flag)
-            flag = flag or self._emits(e)
-        emits_after.reverse()
-        out = []
-        for e, hoist in zip(exprs, emits_after):
-            code, typ, atomic = self.expr(e)
-            if hoist and not atomic:
-                t = self.temp()
-                self.w.line("%s = %s" % (t, code))
-                code, atomic = t, True
-            out.append((code, typ))
-        return out
-
-    # -- build -----------------------------------------------------------------
-
     def build(self):
-        import re
-
-        body_w = _Writer()
-        body_w.indent()
-        body_w.indent()
-        self.w = body_w
-        for stmt in self.fragment.body:
-            self.stmt(stmt, None)
-        if not self.fragment.body:
-            body_w.line("pass")
-        body_text = body_w.text()
-
-        w = _Writer()
-        w.line("def __frag(ev):")
-        w.indent()
-        w.line("server = ev.server")
-        w.line("_s = server.steps")
-        w.line("_lim = server.max_steps")
-        w.line("if _lim is None: _lim = _INF")
-
-        def used(name):
-            return re.search(r"\b%s\b" % name, body_text) is not None
-
-        for binding, source in (
-            ("_env", "ev.env"),
-            ("_pm", "ev.prefetch_map"),
-            ("_bc", "ev._batch_cache"),
-            ("_HG", "server.hidden_globals"),
-            ("_ifd", "ev._instance_fields"),
-            ("_cfi", "ev._cb_fetch_index"),
-            ("_csi", "ev._cb_store_index"),
-            ("_cff", "ev._cb_fetch_field"),
-            ("_csf", "ev._cb_store_field"),
-        ):
-            if used(binding):
-                w.line("%s = %s" % (binding, source))
-        if self.counting:
-            w.line("_C = ev.stmt_counts")
-            for kind in sorted(self.kinds):
-                w.line("_n_%s = 0" % kind)
-        w.line("try:")
-        w.lines.extend(body_text.rstrip("\n").split("\n"))
-        w.line("finally:")
-        w.indent()
-        w.line("server.steps = _s")
-        if self.counting:
-            for kind in sorted(self.kinds):
-                w.line('if _n_%s: _C["%s"] = _C.get("%s", 0) + _n_%s'
-                       % (kind, kind, kind, kind))
-        w.dedent()
-        w.dedent()
-
-        result_fn = None
-        if self.fragment.result_expr is not None:
-            res_w = _Writer()
-            res_w.indent()
-            self.w = res_w
-            code, _typ, _atomic = self.expr(self.fragment.result_expr)
-            res_w.line("return %s" % code)
-            res_text = res_w.text()
-
-            def used_res(name):
-                return re.search(r"\b%s\b" % name, res_text) is not None
-
+        fragment = self.fragment
+        w = self._emit_def(fragment.body, None if fragment.body else "pass")
+        if fragment.result_expr is not None:
+            self.w = _Writer(1)
+            code, _typ, _atomic = self.expr(fragment.result_expr)
+            self.w.line("return %s" % code)
+            text = self.w.text()
             w.line("def __res(ev):")
             w.indent()
-            for binding, source in (
-                ("_env", "ev.env"),
-                ("_bc", "ev._batch_cache"),
-                ("_HG", "ev.server.hidden_globals"),
-                ("_ifd", "ev._instance_fields"),
-                ("_cfi", "ev._cb_fetch_index"),
-                ("_cff", "ev._cb_fetch_field"),
-            ):
-                if used_res(binding):
-                    w.line("%s = %s" % (binding, source))
-            w.lines.extend(res_text.rstrip("\n").split("\n"))
+            _bind(w, self._RESULT_BINDINGS, text)
+            w.extend(text)
             w.dedent()
+        glb = self._exec(w, "fragment#%s" % (getattr(fragment, "label", "?"),))
+        return CompiledFragment((glb["__frag"],), glb.get("__res"))
 
-        src = w.text()
-        glb = dict(_EXEC_GLOBALS)
-        glb.update(self.consts)
-        label = getattr(self.fragment, "label", "?")
-        code = compile(src, "<codegen:fragment#%s>" % (label,), "exec")
-        exec(code, glb)
-        if self.fragment.result_expr is not None:
-            result_fn = glb["__res"]
-        return CompiledFragment((glb["__frag"],), result_fn)
-
-    # -- statements ------------------------------------------------------------
-
-    def tick(self, kind=None):
-        self.w.line("_s += 1")
-        self.w.line("if _s > _lim: _e_hlim(server)")
-        if kind is not None and self.counting:
-            self.w.line("_n_%s += 1" % kind)
-            self.kinds.add(kind)
-
-    def stmt(self, stmt, loop):
-        kind = type(stmt).__name__
-        self.tick(kind)
-        if id(stmt) in self.stmt_map:
-            # this statement carries a prefetch manifest entry: when the
-            # call runs batched (prefetch_map passed), pull its open-memory
-            # reads in one callback before executing, then drop the cache
-            w = self.w
-            r = self.temp()
-            w.line("%s = _pm.get(%d) if _pm is not None else None"
-                   % (r, id(stmt)))
-            w.line("if %s is not None: ev.prefetch_reads(%s)" % (r, r))
-            w.line("try:")
-            w.indent()
-            self._action(stmt, loop)
-            w.dedent()
-            w.line("finally:")
-            w.indent()
-            w.line("if %s is not None: ev.clear_batch_cache()" % r)
-            w.dedent()
-        else:
-            self._action(stmt, loop)
+    # -- hooks -----------------------------------------------------------------
 
     def _action(self, stmt, loop):
+        if id(stmt) not in self.stmt_map:
+            super()._action(stmt, loop)
+            return
+        # this statement carries a prefetch manifest entry: when the call
+        # runs batched (prefetch_map passed), pull its open-memory reads in
+        # one callback before executing, then drop the cache
         w = self.w
+        r = self.temp()
+        w.line("%s = _pm.get(%d) if _pm is not None else None"
+               % (r, id(stmt)))
+        w.line("if %s is not None: ev.prefetch_reads(%s)" % (r, r))
+        w.line("try:")
+        w.indent()
+        super()._action(stmt, loop)
+        w.dedent()
+        w.line("finally:")
+        w.indent()
+        w.line("if %s is not None: ev.clear_batch_cache()" % r)
+        w.dedent()
 
-        if isinstance(stmt, ast.VarDecl):
-            name = stmt.name
-            if stmt.init is None:
-                code = repr(default_value(stmt.var_type))
-            else:
-                code, typ, _atomic = self.expr(stmt.init)
-                if isinstance(stmt.var_type, ast.FloatType):
-                    if typ in ("int", "bool"):
-                        code = "float(%s)" % code
-                    elif typ != "float":
-                        code = "_flt(%s)" % code
-            w.line('_env["%s"] = %s' % (name, code))
-            return
+    def _slot(self, name):
+        kind = self.storage.get(name)
+        if kind == "global":
+            return "_HG"
+        if kind == "field":
+            return "_ifd()"
+        return "_env"
 
-        if isinstance(stmt, ast.Assign):
-            self._assign(stmt)
-            return
+    def _load(self, name):
+        return '%s.get("%s", 0)' % (self._slot(name), name), None, False
 
-        if isinstance(stmt, ast.If):
-            cond = self.cond(stmt.cond)
-            w.line("if %s:" % cond)
-            w.indent()
-            if stmt.then_body:
-                for s in stmt.then_body:
-                    self.stmt(s, loop)
-            else:
-                w.line("pass")
-            w.dedent()
-            if stmt.else_body:
-                w.line("else:")
-                w.indent()
-                for s in stmt.else_body:
-                    self.stmt(s, loop)
-                w.dedent()
-            return
+    def _store(self, name, code):
+        self.w.line('%s["%s"] = %s' % (self._slot(name), name, code))
 
-        if isinstance(stmt, ast.While):
-            w.line("while True:")
-            w.indent()
-            cond = self.cond(stmt.cond)
-            w.line("if not %s: break" % cond)
-            self.tick()
-            for s in stmt.body:
-                self.stmt(s, "while")
-            if not stmt.body:
-                w.line("pass")
-            w.dedent()
-            return
+    def _decl_slot(self, name):
+        return '_env["%s"]' % name
 
-        if isinstance(stmt, ast.For):
-            if stmt.init is not None:
-                self.stmt(stmt.init, loop)
-            handlers = _has_direct_continue(stmt.body)
-            w.line("while True:")
-            w.indent()
-            if stmt.cond is not None:
-                cond = self.cond(stmt.cond)
-                w.line("if not %s: break" % cond)
-            self.tick()
-            if handlers:
-                w.line("try:")
-                w.indent()
-            for s in stmt.body:
-                self.stmt(s, "for")
-            if not stmt.body:
-                w.line("pass")
-            if handlers:
-                w.dedent()
-                w.line("except _Cnt:")
-                w.indent()
-                w.line("pass")
-                w.dedent()
-            if stmt.update is not None:
-                self.stmt(stmt.update, loop)
-            w.dedent()
-            return
+    def _loop_catches(self, stmt):
+        # fragments call no functions, so no stray _Brk/_Cnt reach a loop;
+        # only a for body's own continue must still run the update
+        if isinstance(stmt, ast.For) and _has_direct_continue(stmt.body):
+            return ("_Cnt",)
+        return ()
 
-        if isinstance(stmt, ast.Break):
-            if loop is None:
-                w.line("raise _Brk()")
-            else:
-                w.line("break")
-            return
+    def _bad_target(self, target):
+        return "hidden fragment: bad assignment target"
 
-        if isinstance(stmt, ast.Continue):
-            if loop is None:
-                w.line("raise _Cnt()")
-            elif loop == "for":
-                w.line("raise _Cnt()")
-            else:
-                w.line("continue")
-            return
+    def _call(self, expr):
+        if expr.name not in BUILTIN_SIGNATURES:
+            # matches the AST engine: rejected before arguments run
+            return self._raise(
+                "hidden fragment may not call function %r" % expr.name)
+        return self._builtin(expr, _BUILTIN_TYPES.get(expr.name))
 
-        if isinstance(stmt, ast.Block):
-            for s in stmt.body:
-                self.stmt(s, loop)
-            return
-
-        w.line("_err(%s)"
-               % self.const("hidden fragment cannot execute %r" % (stmt,)))
-
-    def _assign(self, stmt):
+    def _probe(self, expr, fetch):
+        """Read through the batch cache, keyed by the node's identity;
+        on a miss, ``fetch()`` lowers the callback."""
         w = self.w
-        target = stmt.target
-
-        if isinstance(target, ast.VarRef):
-            code, _typ, _atomic = self.expr(stmt.value)
-            name = target.name
-            kind = self.storage.get(name)
-            if kind == "global":
-                w.line('_HG["%s"] = %s' % (name, code))
-            elif kind == "field":
-                w.line('_ifd()["%s"] = %s' % (name, code))
-            else:
-                w.line('_env["%s"] = %s' % (name, code))
-            return
-
-        if isinstance(target, ast.Index):
-            vcode, _vt, vatomic = self.expr(stmt.value)
-            if not vatomic:
-                vcode = self._as_temp(vcode)
-            if not isinstance(target.base, ast.VarRef):
-                w.line("_err(%s)" % self.const(
-                    "hidden fragment: complex array target"))
-                return
-            icode, _it, _iatomic = self.expr(target.index)
-            w.line('_csi("%s", %s, %s)' % (target.base.name, icode, vcode))
-            return
-
-        if isinstance(target, ast.FieldAccess):
-            vcode, _vt, vatomic = self.expr(stmt.value)
-            if not vatomic:
-                vcode = self._as_temp(vcode)
-            if not isinstance(target.obj, ast.VarRef):
-                w.line("_err(%s)" % self.const(
-                    "hidden fragment: complex field target"))
-                return
-            w.line('_csf("%s", "%s", %s)'
-                   % (target.obj.name, target.name, vcode))
-            return
-
-        vcode, _vt, vatomic = self.expr(stmt.value)
-        if not vatomic:
-            self._as_temp(vcode)
-        w.line("_err(%s)" % self.const("hidden fragment: bad assignment target"))
-
-    # -- conditions ------------------------------------------------------------
-
-    def cond(self, expr):
-        code, typ, _atomic = self.expr(expr)
-        if typ == "bool":
-            return code
-        if typ == "int":
-            return "(%s != 0)" % code
-        return "_HT(%s)" % code
-
-    # -- expressions -----------------------------------------------------------
-
-    def expr(self, expr):
-        w = self.w
-
-        if isinstance(expr, ast.BoolLit):
-            return ("True" if expr.value else "False"), "bool", True
-        if isinstance(expr, ast.IntLit):
-            return repr(expr.value), "int", True
-        if isinstance(expr, ast.FloatLit):
-            return repr(expr.value), "float", True
-
-        if isinstance(expr, ast.VarRef):
-            name = expr.name
-            kind = self.storage.get(name)
-            if kind == "global":
-                return '_HG.get("%s", 0)' % name, None, False
-            if kind == "field":
-                return '_ifd().get("%s", 0)' % name, None, False
-            return '_env.get("%s", 0)' % name, None, False
-
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr)
-
-        if isinstance(expr, ast.UnaryOp):
-            code, typ, _atomic = self.expr(expr.operand)
-            if expr.op == "-":
-                if typ in ("int", "float"):
-                    return "(-%s)" % code, typ, False
-                return "_gneg(%s)" % code, None, False
-            if expr.op == "!":
-                if typ == "bool":
-                    return "(not %s)" % code, "bool", False
-                return "_gnot(%s)" % code, "bool", False
-            t = self._as_temp(code)
-            w.line("_err(%s)" % self.const(
-                "unknown unary operator %r" % expr.op))
-            return t, None, True
-
-        if isinstance(expr, ast.Call):
-            name = expr.name
-            if name not in BUILTIN_SIGNATURES:
-                # matches the AST engine: rejected before arguments run
-                w.line("_err(%s)" % self.const(
-                    "hidden fragment may not call function %r" % name))
-                return "None", None, True
-            pieces = self._seq(list(expr.args))
-            args = ", ".join(code for code, _t in pieces)
-            if len(pieces) == 1:
-                args += ","
-            typ = {"sqrt": "float", "exp": "float", "log": "float",
-                   "sin": "float", "cos": "float", "pow": "float",
-                   "floor": "int", "len": "int"}.get(name)
-            return '_cb("%s", (%s))' % (name, args), typ, False
-
-        if isinstance(expr, ast.Index):
-            if not isinstance(expr.base, ast.VarRef):
-                w.line("_err(%s)" % self.const(
-                    "hidden fragment: complex array base"))
-                return "None", None, True
-            t = self.temp()
-            w.line("%s = _bc.get(%d, _MISS) if _bc else _MISS"
-                   % (t, id(expr)))
-            w.line("if %s is _MISS:" % t)
-            w.indent()
-            icode, _it, _iatomic = self.expr(expr.index)
-            w.line('%s = _cfi("%s", %s)' % (t, expr.base.name, icode))
-            w.dedent()
-            return t, None, True
-
-        if isinstance(expr, ast.FieldAccess):
-            if not isinstance(expr.obj, ast.VarRef):
-                w.line("_err(%s)" % self.const(
-                    "hidden fragment: complex field object"))
-                return "None", None, True
-            t = self.temp()
-            w.line("%s = _bc.get(%d, _MISS) if _bc else _MISS"
-                   % (t, id(expr)))
-            w.line("if %s is _MISS:" % t)
-            w.indent()
-            w.line('%s = _cff("%s", "%s")' % (t, expr.obj.name, expr.name))
-            w.dedent()
-            return t, None, True
-
-        w.line("_err(%s)" % self.const(
-            "hidden fragment cannot evaluate %r" % (expr,)))
-        return "None", None, True
-
-    def _binary(self, expr):
-        w = self.w
-        op = expr.op
-
-        if op in ("&&", "||"):
-            keyword = "and" if op == "&&" else "or"
-            if not self._emits(expr.right):
-                lcode = self.cond(expr.left)
-                rcode = self.cond(expr.right)
-                return "(%s %s %s)" % (lcode, keyword, rcode), "bool", False
-            t = self.temp()
-            w.line("%s = %s" % (t, self.cond(expr.left)))
-            w.line("if %s%s:" % ("" if op == "&&" else "not ", t))
-            w.indent()
-            w.line("%s = %s" % (t, self.cond(expr.right)))
-            w.dedent()
-            return t, "bool", True
-
-        pieces = self._seq([expr.left, expr.right])
-        (lcode, lt), (rcode, rt) = pieces
-        numeric = ("int", "float")
-
-        if op in ("==", "!="):
-            return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-        if op in ("<", "<=", ">", ">="):
-            if lt in numeric and rt in numeric:
-                return "(%s %s %s)" % (lcode, op, rcode), "bool", False
-            helper = {"<": "_glt", "<=": "_gle", ">": "_ggt", ">=": "_gge"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), "bool", False
-        if op in ("+", "-", "*"):
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-                return "(%s %s %s)" % (lcode, op, rcode), typ, False
-            helper = {"+": "_gadd", "-": "_gsub", "*": "_gmul"}[op]
-            return "%s(%s, %s)" % (helper, lcode, rcode), None, False
-        if op == "/":
-            typ = None
-            if lt in numeric and rt in numeric:
-                typ = "int" if (lt == "int" and rt == "int") else "float"
-            return "_div(%s, %s)" % (lcode, rcode), typ, False
-        if op == "%":
-            typ = "int" if (lt == "int" and rt == "int") else None
-            return "_rem(%s, %s)" % (lcode, rcode), typ, False
-
         t = self.temp()
-        w.line("%s = %s(%s, %s, %s)"
-               % (t, self.const(binary_op), self.const(op), lcode, rcode))
+        w.line("%s = _bc.get(%d, _MISS) if _bc else _MISS" % (t, id(expr)))
+        w.line("if %s is _MISS:" % t)
+        w.indent()
+        w.line("%s = %s" % (t, fetch()))
+        w.dedent()
         return t, None, True
+
+    def _index(self, expr):
+        base = expr.base
+        if not isinstance(base, ast.VarRef):
+            return self._raise("hidden fragment: complex array base")
+        return self._probe(expr, lambda: '_cfi("%s", %s)'
+                           % (base.name, self.expr(expr.index)[0]))
+
+    def _field(self, expr):
+        obj = expr.obj
+        if not isinstance(obj, ast.VarRef):
+            return self._raise("hidden fragment: complex field object")
+        return self._probe(expr, lambda: '_cff("%s", "%s")'
+                           % (obj.name, expr.name))
+
+    def _store_index(self, target, vcode):
+        if not isinstance(target.base, ast.VarRef):
+            self._raise("hidden fragment: complex array target")
+            return
+        icode, _it, _iatomic = self.expr(target.index)
+        self.w.line('_csi("%s", %s, %s)' % (target.base.name, icode, vcode))
+
+    def _store_field(self, target, vcode):
+        if not isinstance(target.obj, ast.VarRef):
+            self._raise("hidden fragment: complex field target")
+            return
+        self.w.line('_csf("%s", "%s", %s)'
+                    % (target.obj.name, target.name, vcode))
+
+    _LOWER = {
+        ast.Call: _call,
+        ast.Index: _index,
+        ast.FieldAccess: _field,
+    }
 
 
 def codegen_fragment(fragment, storage_map, counting):

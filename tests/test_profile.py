@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.cli import main as cli_main
 from repro.lang import check_program, parse_program
+from repro.lang.parser import parse_expression, parse_statements
 from repro.obs import profile
 from repro.obs.events import FlightRecorder
 from repro.runtime.codegen import (
@@ -20,7 +21,9 @@ from repro.runtime.codegen import (
     _classify_deopt,
 )
 from repro.runtime.splitrun import run_original, run_split
-from repro.runtime.channel import LatencyModel
+from repro.runtime.channel import Channel, LatencyModel
+from repro.runtime.server import HiddenServer
+from repro.core.hidden import FragmentKind, HiddenFragment
 from repro.core.pipeline import prepare_split
 
 SOURCE = """
@@ -218,14 +221,49 @@ def test_crafted_deopt_counts_reason_and_records_event():
     with obs.telemetry(recorder=recorder) as (registry, _tracer):
         result = run_original(program, args=(30,), engine="codegen")
     assert result.output == ["30"]  # the closure fallback is bit-identical
-    assert registry.value(M_DEOPT, side="open", reason=DEOPT_COMPILE_LIMIT) == 1
+    _assert_one_compile_limit_deopt(registry, recorder, "open", "deep")
+
+
+def _assert_one_compile_limit_deopt(registry, recorder, side, fn):
+    assert registry.value(M_DEOPT, side=side, reason=DEOPT_COMPILE_LIMIT) == 1
     events = recorder.by_type("deopt")
     assert len(events) == 1
     event = events[0]
-    assert event["side"] == "open"
-    assert event["fn"] == "deep"
+    assert event["side"] == side
+    assert event["fn"] == fn
     assert event["reason"] == DEOPT_COMPILE_LIMIT
     assert event["where"].startswith("line ")
+
+
+def _run_deep_fragment(engine):
+    """``(result, hidden steps)`` of one call of a fragment holding the
+    same 24 nested whiles.  No split produces a fragment that deep, so the
+    fragment is built directly."""
+    fragment = HiddenFragment(
+        0, FragmentKind.EXPR, params=["n"],
+        body=parse_statements(
+            "s = 0;\n"
+            + "while (n > 0) {\n" * _DEPTH
+            + "s = s + 1;\nn = n - 1;\n"
+            + "}\n" * _DEPTH
+        ),
+        result_expr=parse_expression("s"),
+    )
+    server = HiddenServer({0: ("deep", {0: fragment}, {})},
+                          Channel(LatencyModel.instant(), record=False),
+                          engine=engine)
+    hid = server.open_activation(0)
+    return server.call(hid, 0, (30,), None), server.steps
+
+
+def test_crafted_hidden_deopt_counts_reason_and_records_event():
+    reference = _run_deep_fragment("ast")
+    recorder = FlightRecorder()
+    with obs.telemetry(recorder=recorder) as (registry, _tracer):
+        result = _run_deep_fragment("codegen")
+    assert result == reference  # same value, same step count
+    assert result[0] == 30
+    _assert_one_compile_limit_deopt(registry, recorder, "hidden", "fragment#0")
 
 
 def test_deopt_report_joins_counter_and_events():
