@@ -32,16 +32,15 @@ from repro import obs
 from repro.lang import ast
 from repro.obs import profile as _profile
 from repro.lang.typecheck import BUILTIN_SIGNATURES
-from repro.core.prefetch import resolve_prefetch
 from repro.runtime.compile import (
     M_COMPILE_SECONDS,  # noqa: F401 (re-exported for tooling)
     CompiledFragment,
     OpenCompiler,
     _Break,
     _Continue,
-    _FragmentCompiler,
     _MISSING,
     _Return,
+    _close_fragment,
     _hidden_truthy,
     _observe_compile,
     _open_truthy,
@@ -1288,14 +1287,14 @@ class _FragCodegen(_Lowering):
     _TRUTHY = "_HT"
     _ERR = "hidden fragment "
 
-    def __init__(self, fragment, storage_map, counting):
+    def __init__(self, fragment, storage_map, counting, stmt_map):
         super().__init__(counting)
         self.fragment = fragment
         self.storage = storage_map
-        # which statements *can* carry a prefetch manifest entry: same
-        # resolution the server performs at call time, so the generated
-        # probe sites line up with the runtime ``prefetch_map`` keys
-        self.stmt_map, self.result_reads = resolve_prefetch(fragment)
+        # which statements *can* carry a prefetch manifest entry: the map
+        # the server passes at call time, so the generated probe sites
+        # line up with the runtime ``prefetch_map`` keys
+        self.stmt_map = stmt_map
 
     def build(self):
         fragment = self.fragment
@@ -1417,15 +1416,18 @@ class _FragCodegen(_Lowering):
     }
 
 
-def codegen_fragment(fragment, storage_map, counting):
+def codegen_fragment(fragment, storage_map, counting, stmt_map):
     """Lower one hidden fragment to Python source; closure-tier deopt on
-    any generation failure.  Returns a :class:`CompiledFragment`-shaped
-    object (``body`` iterable of callables taking the per-call
-    ``_FragmentEvaluator``, ``result`` callable or ``None``)."""
+    any generation failure.  ``stmt_map`` is the fragment's resolved
+    prefetch map (:func:`repro.core.prefetch.resolve_prefetch`).  Returns
+    a :class:`CompiledFragment`-shaped object (``body`` iterable of
+    callables taking the per-call ``_FragmentEvaluator``, ``result``
+    callable or ``None``)."""
     started = time.perf_counter()
     name = "fragment#%s" % (getattr(fragment, "label", "?"),)
     try:
-        compiled = _FragCodegen(fragment, storage_map or {}, counting).build()
+        compiled = _FragCodegen(fragment, storage_map or {}, counting,
+                                stmt_map).build()
         for part in tuple(compiled.body) + (compiled.result,):
             if part is not None:
                 _profile.register_code(
@@ -1438,11 +1440,6 @@ def codegen_fragment(fragment, storage_map, counting):
         elif fragment.result_expr is not None:
             line = fragment.result_expr.line
         _record_deopt("hidden", name, exc, line)
-        compiler = _FragmentCompiler(storage_map or {})
-        body = tuple(compiler.compile_stmt(s) for s in fragment.body)
-        result = None
-        if fragment.result_expr is not None:
-            result = compiler.compile_expr(fragment.result_expr)
-        compiled = CompiledFragment(body, result)
+        compiled = _close_fragment(fragment, storage_map)
     _observe_compile("hidden", time.perf_counter() - started, engine="codegen")
     return compiled

@@ -718,14 +718,22 @@ class CompiledFragment:
 
 
 def compile_fragment(fragment, storage_map):
-    """Lower one hidden fragment (cached per fragment by ``HiddenServer``)."""
+    """Lower one hidden fragment (once per tenant: see
+    :class:`repro.runtime.server.FragmentFacts`)."""
     started = time.perf_counter()
+    compiled = _close_fragment(fragment, storage_map)
+    _observe_compile("hidden", time.perf_counter() - started)
+    return compiled
+
+
+def _close_fragment(fragment, storage_map):
+    """The closure lowering itself, unmeasured (codegen's deopt fallback
+    runs it inside its own measurement)."""
     compiler = _FragmentCompiler(storage_map or {})
     body = tuple(compiler.compile_stmt(s) for s in fragment.body)
     result = None
     if fragment.result_expr is not None:
         result = compiler.compile_expr(fragment.result_expr)
-    _observe_compile("hidden", time.perf_counter() - started)
     return CompiledFragment(body, result)
 
 

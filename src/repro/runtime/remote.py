@@ -187,15 +187,17 @@ def _check_scalars(values, what):
 
 def _facts(tenant):
     """What a client needs to know about the program its session runs:
-    split classes, one-way calls, and the ``functions`` name -> id map a
-    log-replay client resolves recorded names with."""
-    return {
-        "classes": sorted(tenant.hidden_field_classes),
-        "deferrable": {
-            str(fn_id): labels for fn_id, labels in tenant.deferrable.items()
-        },
-        "functions": dict(tenant.functions),
-    }
+    split classes, one-way calls (``{fn_id: [label, ...]}``, so a batching
+    client knows what it may coalesce), and the ``functions`` name -> id
+    map a log-replay client resolves recorded names with."""
+    deferrable = {}
+    for fn_id, (_name, fragments, _storage) in tenant.registry.items():
+        labels = [label for label in fragments
+                  if tenant.facts(fn_id, label).one_way()]
+        if labels:
+            deferrable[str(fn_id)] = sorted(labels)
+    return {"classes": sorted(tenant.hidden_field_classes),
+            "deferrable": deferrable, "functions": dict(tenant.functions)}
 
 
 class _SocketAccess:
@@ -255,12 +257,9 @@ class HiddenComponentServer:
     """Hosts one or more hidden components behind a single TCP socket — a
     multi-tenant daemon (docs/OPERATIONS.md).
 
-    The original single-program constructor still works: ``registry`` (with
-    ``hidden_globals``/``hidden_field_classes``) describes the *default*
-    program, the one a client that never selects a program is bound to.
-    ``tenants`` registers additional named programs; the first registered
-    program (positional ``registry`` first, then ``tenants`` in order) is
-    the default.
+    ``tenants`` lists the served programs (:class:`~repro.runtime.server.
+    Tenant`); the first is the default, the one a client that never
+    selects a program is bound to.
 
     Operational limits, all off by default so the daemon degrades to the
     seed's behaviour:
@@ -282,26 +281,16 @@ class HiddenComponentServer:
     cached entries per tenant across all its sessions.
     """
 
-    def __init__(self, registry=None, hidden_globals=None,
-                 hidden_field_classes=None, host="127.0.0.1", port=0,
-                 engine=DEFAULT_ENGINE, tenants=None, default_name="default",
-                 max_sessions=None, idle_timeout_s=None, max_batch_msgs=1024,
-                 drain_grace_s=10.0, cache=True, cache_quota=None):
+    def __init__(self, tenants, host="127.0.0.1", port=0,
+                 engine=DEFAULT_ENGINE, max_sessions=None, idle_timeout_s=None,
+                 max_batch_msgs=1024, drain_grace_s=10.0, cache=True,
+                 cache_quota=None):
         self._tenants = {}
-        if registry is not None:
-            self.add_tenant(Tenant(
-                default_name, registry,
-                hidden_globals=hidden_globals,
-                hidden_field_classes=hidden_field_classes,
-            ))
-        for tenant in tenants or ():
+        for tenant in tenants:
             self.add_tenant(tenant)
         if not self._tenants:
             raise ValueError("the daemon needs at least one program to serve")
         self._default = next(iter(self._tenants.values()))
-        # single-program compatibility surface (default tenant's facts)
-        self.hidden_field_classes = dict(self._default.hidden_field_classes)
-        self._deferrable = self._default.deferrable
         self.engine = engine
         self.max_sessions = max_sessions
         self.idle_timeout_s = idle_timeout_s
@@ -348,11 +337,6 @@ class HiddenComponentServer:
         return {"proto": PROTOCOL_VERSION, "programs": list(self._tenants),
                 **_facts(self._default)}
 
-    def _new_inner(self, tenant):
-        return self._pin_recorder(tenant.new_server(
-            Channel(LatencyModel.instant(), record=False), engine=self.engine,
-        ))
-
     def _cache_quota(self, program):
         """The tenant's shared entry quota, or None when unbounded."""
         if self._cache_quota_entries is None:
@@ -384,11 +368,12 @@ class HiddenComponentServer:
             return self._recorder.now_us()
         return round((time.perf_counter() - self._t0) * 1e6, 1)
 
-    def _pin_recorder(self, inner):
-        """Inner hidden servers are created at session-bind time, when (in
-        the in-process ``remote_server`` setup) the *client's* telemetry
-        scope may be active; their fragment events belong to this server's
-        stream, pinned at construction."""
+    def _new_inner(self, tenant, batching):
+        """A session's private hidden server.  Inner servers are created
+        at session-bind time, when (in the in-process ``remote_server``
+        setup) the *client's* telemetry scope may be active; their
+        fragment events belong to this server's stream, pinned here."""
+        inner = tenant.new_server(engine=self.engine, batching=batching)
         inner._recorder = self._recorder
         return inner
 
@@ -612,6 +597,12 @@ class _ClientSession:
                         self._count_op(time.perf_counter() - t0)
                         _send(wfile, {"error": str(exc)})
                         continue
+                    finally:
+                        # one-way messages the inner server deferred leave
+                        # with the frame that carried them, so at most one
+                        # frame's worth is ever pending
+                        if self.inner is not None:
+                            self.inner.channel.flush_deferred()
                     exec_us = round((time.perf_counter() - t0) * 1e6, 1)
                     if recorder is not None:
                         recorder.record("server_send", op=op, ok=True,
@@ -636,8 +627,7 @@ class _ClientSession:
 
     def _bind(self, tenant):
         self.tenant = tenant
-        self.inner = self.server._new_inner(tenant)
-        self.inner.batching = self.batching
+        self.inner = self.server._new_inner(tenant, self.batching)
         self._apply_cache()
         metrics = self.server._metrics
         if metrics is not None:
@@ -711,10 +701,9 @@ class _ClientSession:
 
     def _op_new_instance(self, msg, *_):
         inner = self._ensure_bound()
-        fields = inner.hidden_field_classes.get(msg["class"])
-        if fields is None:
+        if msg["class"] not in self.tenant.hidden_field_classes:
             raise RuntimeErr("unknown split class %r" % msg["class"])
-        inner.instances[msg["oid"]] = dict(fields)
+        inner.notify_new_instance(_Oid(msg["oid"], msg["class"]))
         return msg["oid"]
 
     def _op_hello(self, msg, *_):
@@ -806,12 +795,14 @@ def _checked(msg):
 
 
 class _Oid:
-    """Server-side stand-in for a receiver object: only the id matters."""
+    """Server-side stand-in for an open-side object: only its id (and, for
+    ``new_instance``, its class) matters."""
 
-    __slots__ = ("oid",)
+    __slots__ = ("oid", "class_name")
 
-    def __init__(self, oid):
+    def __init__(self, oid, class_name=None):
         self.oid = oid
+        self.class_name = class_name
 
 
 #: a connected client session, as :func:`open_session` leaves it:

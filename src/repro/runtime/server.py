@@ -15,6 +15,7 @@ inputs "varying ... in each iteration a different array element was being
 sent to the hidden side".
 """
 
+import threading
 import time
 
 from repro import obs
@@ -56,37 +57,98 @@ M_STMTS = "repro_stmt_executions_total"
 _MISSING = object()
 
 
-def deferrable_labels(registry):
-    """``{fn_id: [label, ...]}`` of one-way calls — ``set``/``stmts``
-    fragments that never touch open aggregates — advertised in the remote
-    handshake so a batching client knows what it may coalesce
-    (docs/PROTOCOL.md)."""
-    out = {}
-    for fn_id, (_name, fragments, _storage) in registry.items():
-        labels = [
-            label
-            for label, frag in fragments.items()
-            if frag.kind in (FragmentKind.SET, FragmentKind.STMTS)
-            and not touches_open_aggregates(frag)
-        ]
-        if labels:
-            out[fn_id] = sorted(labels)
-    return out
+class FragmentFacts:
+    """What a tenant knows about one hidden fragment.
+
+    Derived once per tenant, the first time a session needs it, and then
+    shared read-only by every session the tenant mints: the fragment's
+    function name and storage map, whether a call to it is one-way, its
+    resolved prefetch map, its purity verdict, and its compiled body per
+    ``(engine, counting)``.  Each derived fact is computed on its first
+    use, under the tenant's lock, which a hit never takes.
+    """
+
+    __slots__ = ("fragment", "fn_name", "storage", "_one_way", "_prefetch",
+                 "_purity", "_bodies", "_lock")
+
+    def __init__(self, fragment, fn_name, storage, lock):
+        self.fragment = fragment
+        self.fn_name = fn_name
+        self.storage = storage
+        self._one_way = None
+        self._prefetch = None
+        self._purity = None
+        self._bodies = {}
+        self._lock = lock
+
+    def one_way(self):
+        """A call is one-way when the open side ignores its result
+        (``set`` and ``stmts`` fragments return the paper's "any" value)
+        *and* executing it needs no open-memory callbacks, so its effects
+        stay invisible until the next synchronisation point anyway."""
+        if self._one_way is None:
+            with self._lock:
+                if self._one_way is None:
+                    self._one_way = self.fragment.kind in (
+                        FragmentKind.SET, FragmentKind.STMTS
+                    ) and not touches_open_aggregates(self.fragment)
+        return self._one_way
+
+    def prefetch(self):
+        """``(stmt_map, result_reads)``: the fragment's prefetch manifest
+        resolved to live nodes (:func:`repro.core.prefetch.
+        resolve_prefetch`)."""
+        if self._prefetch is None:
+            with self._lock:
+                if self._prefetch is None:
+                    self._prefetch = resolve_prefetch(self.fragment)
+        return self._prefetch
+
+    def purity(self):
+        """The fragment's stamped verdict, or an on-demand classification
+        (hand-built registries, pre-purity manifests)."""
+        if self._purity is None:
+            with self._lock:
+                if self._purity is None:
+                    self._purity = self.fragment.purity or classify_fragment(
+                        self.fragment, self.storage
+                    )
+        return self._purity
+
+    def body(self, engine, counting):
+        """The fragment lowered by ``engine`` (``"compiled"`` or
+        ``"codegen"``); ``counting`` emits per-kind statement counts."""
+        key = (engine, counting)
+        compiled = self._bodies.get(key)
+        if compiled is None:
+            with self._lock:
+                compiled = self._bodies.get(key)
+                if compiled is None:
+                    compiled = self._bodies[key] = (
+                        codegen_fragment(self.fragment, self.storage,
+                                         counting, self.prefetch()[0])
+                        if engine == "codegen"
+                        else compile_fragment(self.fragment, self.storage)
+                    )
+        return compiled
 
 
 class Tenant:
     """One served program: its fragment registry, hidden-state
-    initialisers, and the handshake facts derived from them.
+    initialisers, and everything derived from them — the only way to
+    build a :class:`HiddenServer`.
 
     The multi-tenant daemon (:class:`repro.runtime.remote.
     HiddenComponentServer`, docs/OPERATIONS.md) keeps one ``Tenant`` per
     registered program and mints a fresh per-session :class:`HiddenServer`
     from it on demand, so sessions — and therefore tenants — never share
-    activation, instance, or hidden-global state.
+    activation, instance, or hidden-global state.  What they do share is
+    read-only: one :class:`FragmentFacts` per fragment, keyed by
+    ``(fn_id, label)`` and derived on first use.
     """
 
     __slots__ = ("name", "registry", "hidden_globals", "hidden_field_classes",
-                 "deferrable", "functions")
+                 "functions", "_facts", "_lock")
 
     def __init__(self, name, registry, hidden_globals=None,
                  hidden_field_classes=None):
@@ -94,13 +156,15 @@ class Tenant:
         self.registry = registry
         self.hidden_globals = dict(hidden_globals or {})
         self.hidden_field_classes = dict(hidden_field_classes or {})
-        self.deferrable = deferrable_labels(registry)
         #: split-function name -> fn_id, advertised in the handshake so
         #: log-replay clients (repro loadgen) can resolve recorded names
         self.functions = {
             fn_name: fn_id
             for fn_id, (fn_name, _fragments, _storage) in registry.items()
         }
+        self._facts = {}  # (fn_id, label) -> FragmentFacts
+        # re-entrant: compiling a codegen body resolves its prefetch map
+        self._lock = threading.RLock()
 
     @classmethod
     def from_program(cls, name, program):
@@ -113,26 +177,39 @@ class Tenant:
             hidden_field_classes=getattr(program, "hidden_field_classes", None),
         )
 
-    def new_server(self, channel=None, engine=DEFAULT_ENGINE,
-                   max_steps=20_000_000, cache=False, cache_quota=None):
-        """A fresh :class:`HiddenServer` over this tenant's tables, with
-        private copies of the initial hidden state.
+    def facts(self, fn_id, label):
+        """The :class:`FragmentFacts` of fragment ``label`` of split
+        function ``fn_id``, derived on the first request."""
+        key = (fn_id, label)
+        facts = self._facts.get(key)
+        if facts is None:
+            with self._lock:
+                facts = self._facts.get(key)
+                if facts is None:
+                    fn_name, fragments, storage = self.registry[fn_id]
+                    fragment = fragments.get(label)
+                    if fragment is None:
+                        raise RuntimeErr(
+                            "hidden server: %s has no fragment %r"
+                            % (fn_name, label)
+                        )
+                    facts = self._facts[key] = FragmentFacts(
+                        fragment, fn_name, storage, self._lock
+                    )
+        return facts
 
-        ``cache`` enables the fragment result cache for this session;
-        ``cache_quota`` (a :class:`~repro.runtime.cache.CacheQuota`)
-        charges its entries against the tenant's shared budget."""
+    def new_server(self, channel=None, engine=DEFAULT_ENGINE,
+                   max_steps=20_000_000, batching=False, cache=False):
+        """A fresh :class:`HiddenServer` over this tenant's facts, with
+        private copies of the initial hidden state (see
+        :class:`HiddenServer` for the options)."""
         return HiddenServer(
-            self.registry,
+            self,
             channel or Channel(LatencyModel.instant(), record=False),
             max_steps=max_steps,
-            hidden_globals=dict(self.hidden_globals),
-            hidden_field_classes=dict(self.hidden_field_classes),
+            batching=batching,
             engine=engine,
-            cache=(
-                FragmentCache(quota=cache_quota, program=self.name)
-                if cache
-                else False
-            ),
+            cache=cache,
         )
 
 
@@ -152,17 +229,13 @@ class Activation:
 class HiddenServer:
     """Serves fragment executions for a split program."""
 
-    def __init__(self, registry, channel, max_steps=20_000_000,
-                 hidden_globals=None, hidden_field_classes=None,
-                 batching=False, engine=DEFAULT_ENGINE, cache=False,
-                 program="default"):
-        """``registry``: fn_id -> (name, {label: HiddenFragment}, storage_map).
-
-        ``hidden_globals`` maps hidden global names to their initial values
-        (global-hiding mode); ``hidden_field_classes`` maps class names to
-        ``{field: initial value}`` for split classes — per-instance hidden
-        state is created when the open component reports ``new`` (the
-        paper's instance-id protocol).
+    def __init__(self, tenant, channel, max_steps=20_000_000,
+                 batching=False, engine=DEFAULT_ENGINE, cache=False):
+        """Built by :meth:`Tenant.new_server` only: ``tenant`` supplies the
+        fragment registry and its derived facts, and the initial values
+        of hidden globals (global-hiding mode) and of the hidden fields of
+        split classes — per-instance hidden state is created when the open
+        component reports ``new`` (the paper's instance-id protocol).
 
         ``batching`` enables the communication optimisation layer
         (docs/PROTOCOL.md): one-way messages (``close``, ``new_instance``,
@@ -183,33 +256,20 @@ class HiddenServer:
         ``cache`` enables the Hf-side fragment result cache
         (:mod:`repro.runtime.cache`, docs/CACHING.md): fragments the
         purity pass proves cacheable have their executions memoized,
-        bit-identically to uncached execution.  Pass ``True`` for a
-        default per-server cache, or a ready :class:`~repro.runtime.
-        cache.FragmentCache` (the daemon does this to attach per-tenant
-        quotas).  ``program`` labels that default cache's metrics.
+        bit-identically to uncached execution.  The cache is this
+        server's own, labelled with the tenant's name.
         """
-        self.registry = registry
+        self.tenant = tenant
         self.channel = channel
         self.activations = {}
         self.steps = 0
         self.max_steps = max_steps
         self._next_hid = 1
-        self.hidden_globals = dict(hidden_globals or {})
-        self.hidden_field_classes = dict(hidden_field_classes or {})
+        self.hidden_globals = dict(tenant.hidden_globals)
         self.instances = {}  # oid -> {hidden field: value}
         self.batching = batching
-        self._deferrable = {}  # id(fragment) -> bool
-        self._prefetch_cache = {}  # id(fragment) -> (stmt_map, result_reads)
         self.engine = validate_engine(engine)
-        if isinstance(cache, FragmentCache):
-            self.cache = cache
-        elif cache:
-            self.cache = FragmentCache(program=program)
-        else:
-            self.cache = None
-        self._purity = {}  # id(fragment) -> PurityVerdict
-        # id(fragment) -> CompiledFragment; None when running the AST engine
-        self._compiled = {} if self.engine in ("compiled", "codegen") else None
+        self.cache = FragmentCache(program=tenant.name) if cache else None
         count_engine("hidden", self.engine)
         registry = obs.get_registry()
         self._registry = registry if registry.enabled else None
@@ -219,11 +279,12 @@ class HiddenServer:
     # -- activation management -------------------------------------------------
 
     def open_activation(self, fn_id, receiver=None):
-        if fn_id not in self.registry:
+        entry = self.tenant.registry.get(fn_id)
+        if entry is None:
             raise RuntimeErr("hidden server: unknown function id %r" % fn_id)
         hid = self._next_hid
         self._next_hid += 1
-        fn_name, _fragments, _storage = self.registry[fn_id]
+        fn_name = entry[0]
         receiver_oid = receiver.oid if receiver is not None else None
         self.activations[hid] = Activation(hid, fn_id, fn_name, receiver_oid)
         if self._registry is not None:
@@ -253,7 +314,7 @@ class HiddenServer:
         """The class-splitting instance-id protocol: when the open component
         instantiates a split class, the server creates the corresponding
         hidden field storage under the same instance id."""
-        fields = self.hidden_field_classes.get(obj.class_name)
+        fields = self.tenant.hidden_field_classes.get(obj.class_name)
         if fields is None:
             return
         self.instances[obj.oid] = dict(fields)
@@ -269,44 +330,7 @@ class HiddenServer:
                 "open", None, obj.class_name, None, (obj.oid,), obj.oid
             )
 
-    # -- batching support --------------------------------------------------------
-
-    def _is_deferrable(self, fragment):
-        """A call is one-way when the open side ignores its result (``set``
-        and ``stmts`` fragments return the paper's "any" value) *and*
-        executing it needs no open-memory callbacks, so its effects stay
-        invisible until the next synchronisation point anyway."""
-        key = id(fragment)
-        cached = self._deferrable.get(key)
-        if cached is None:
-            cached = fragment.kind in (
-                FragmentKind.SET, FragmentKind.STMTS
-            ) and not touches_open_aggregates(fragment)
-            self._deferrable[key] = cached
-        return cached
-
-    def _fragment_prefetch(self, fragment):
-        key = id(fragment)
-        cached = self._prefetch_cache.get(key)
-        if cached is None:
-            cached = resolve_prefetch(fragment)
-            self._prefetch_cache[key] = cached
-        return cached
-
     # -- result caching ----------------------------------------------------------
-
-    def _fragment_purity(self, fragment, storage_map):
-        """The fragment's stamped verdict, or an on-demand classification
-        (hand-built registries, pre-purity manifests) — cached by id like
-        the prefetch/deferrable tables."""
-        key = id(fragment)
-        verdict = self._purity.get(key)
-        if verdict is None:
-            verdict = fragment.purity
-            if verdict is None:
-                verdict = classify_fragment(fragment, storage_map)
-            self._purity[key] = verdict
-        return verdict
 
     def _cache_key(self, activation, label, values, verdict):
         """The content key for one cacheable call, or ``None`` when any
@@ -340,31 +364,15 @@ class HiddenServer:
             activation.fn_id, label, tuple(tagged), tuple(env_key), epoch, oid
         )
 
-    def _compiled_fragment(self, fragment, storage_map):
-        key = id(fragment)
-        compiled = self._compiled.get(key)
-        if compiled is None:
-            if self.engine == "codegen":
-                compiled = codegen_fragment(
-                    fragment, storage_map, self._registry is not None
-                )
-            else:
-                compiled = compile_fragment(fragment, storage_map)
-            self._compiled[key] = compiled
-        return compiled
-
     # -- fragment execution ------------------------------------------------------
 
     def call(self, hid, label, values, access):
         activation = self.activations.get(hid)
         if activation is None:
             raise RuntimeErr("hidden server: no activation %r" % hid)
-        fn_name, fragments, storage_map = self.registry[activation.fn_id]
-        fragment = fragments.get(label)
-        if fragment is None:
-            raise RuntimeErr(
-                "hidden server: %s has no fragment %r" % (fn_name, label)
-            )
+        facts = self.tenant.facts(activation.fn_id, label)
+        fragment = facts.fragment
+        fn_name = facts.fn_name
         if len(values) != len(fragment.params):
             raise RuntimeErr(
                 "fragment %s#%d expects %d values, got %d"
@@ -373,8 +381,7 @@ class HiddenServer:
         env = activation.env
         for name, value in zip(fragment.params, values):
             env[name] = value
-        registry = self._registry
-        stmt_counts = {} if registry is not None else None
+        stmt_counts = {} if self._registry is not None else None
         steps_before = self.steps
         wall_t0 = time.perf_counter() if self._recorder is not None else 0.0
         cache = self.cache
@@ -384,7 +391,7 @@ class HiddenServer:
         if cache is not None:
             # classified for *every* fragment: uncacheable fragments that
             # write the hidden store must still invalidate (below)
-            verdict = self._fragment_purity(fragment, storage_map)
+            verdict = facts.purity()
             if verdict.cacheable:
                 cache_key = self._cache_key(activation, label, values, verdict)
                 if cache_key is not None:
@@ -407,32 +414,25 @@ class HiddenServer:
                 for kind, count in entry.stmt_counts.items():
                     stmt_counts[kind] = stmt_counts.get(kind, 0) + count
             result = entry.result
-            if registry is not None:
-                self._flush_call_metrics(
-                    fn_name, label, stmt_counts, self.steps - steps_before
-                )
-            if self._recorder is not None:
-                self._recorder.fragment(
-                    fn_name, str(label), self.steps - steps_before,
-                    wall_us=round((time.perf_counter() - wall_t0) * 1e6, 1),
-                )
+            self._account(fn_name, label, stmt_counts,
+                          self.steps - steps_before, wall_t0)
         else:
             result = self._execute(
-                activation, fragment, label, values, access, env,
-                storage_map, fn_name, registry, stmt_counts, steps_before,
-                wall_t0, cache, verdict, cache_key,
+                activation, facts, label, access, env, stmt_counts,
+                steps_before, wall_t0, cache, verdict, cache_key,
             )
-        if self.batching and self._is_deferrable(fragment):
+        if self.batching and facts.one_way():
             self.channel.defer("call", hid, fn_name, label, values)
         else:
             self.channel.round_trip("call", hid, fn_name, label, values, result)
         return result
 
-    def _execute(self, activation, fragment, label, values, access, env,
-                 storage_map, fn_name, registry, stmt_counts, steps_before,
-                 wall_t0, cache, verdict, cache_key):
-        """Really execute ``fragment`` (a cache miss, an unkeyable call, or
+    def _execute(self, activation, facts, label, access, env, stmt_counts,
+                 steps_before, wall_t0, cache, verdict, cache_key):
+        """Really execute the fragment (a cache miss, an unkeyable call, or
         caching disabled), filling the cache when the call was keyable."""
+        fragment = facts.fragment
+        fn_name = facts.fn_name
         hid = activation.hid
         exec_env = env
         if cache_key is not None:
@@ -449,15 +449,15 @@ class HiddenServer:
             and access is not None
             and hasattr(access, "fetch_batch")
         ):
-            stmt_prefetch, result_reads = self._fragment_prefetch(fragment)
+            stmt_prefetch, result_reads = facts.prefetch()
         evaluator = _FragmentEvaluator(
-            self, exec_env, access, hid, fn_name, storage_map,
+            self, exec_env, access, hid, fn_name, facts.storage,
             activation.receiver_oid, stmt_counts=stmt_counts,
             prefetch_map=stmt_prefetch,
         )
         compiled = (
-            self._compiled_fragment(fragment, storage_map)
-            if self._compiled is not None
+            facts.body(self.engine, self._registry is not None)
+            if self.engine != "ast"
             else None
         )
         try:
@@ -488,15 +488,8 @@ class HiddenServer:
             # flush even when the fragment aborts (step limit, runtime
             # error) — partial step/statement counts would otherwise be
             # dropped from the registry
-            if registry is not None:
-                self._flush_call_metrics(
-                    fn_name, label, stmt_counts, self.steps - steps_before
-                )
-            if self._recorder is not None:
-                self._recorder.fragment(
-                    fn_name, str(label), self.steps - steps_before,
-                    wall_us=round((time.perf_counter() - wall_t0) * 1e6, 1),
-                )
+            self._account(fn_name, label, stmt_counts,
+                          self.steps - steps_before, wall_t0)
             # an aborted writer may have mutated the store already, so
             # the epoch bump sits with the other must-run accounting
             if (
@@ -526,28 +519,34 @@ class HiddenServer:
             )
         return result
 
-    def _flush_call_metrics(self, fn_name, label, stmt_counts, steps):
+    def _account(self, fn_name, label, stmt_counts, steps, wall_t0):
+        """One call's metrics and flight-recorder event, alike for a real
+        execution (an aborted one too) and a cache replay."""
         registry = self._registry
-        label_str = str(label)
-        registry.counter(
-            M_CALLS, help="fragment executions per ILP",
-            fn=fn_name, label=label_str,
-        ).inc()
-        registry.histogram(
-            M_FRAGMENT_STEPS,
-            help="hidden statements executed per fragment call",
-            buckets=STEP_BUCKETS,
-            fn=fn_name,
-            label=label_str,
-        ).observe(steps)
-        registry.counter(
-            M_STEPS, help="statements executed by side", side="hidden"
-        ).inc(steps)
-        for kind, count in stmt_counts.items():
+        if registry is not None:
+            label_str = str(label)
             registry.counter(
-                M_STMTS, help="statement executions by AST kind",
-                side="hidden", kind=kind,
-            ).inc(count)
+                M_CALLS, help="fragment executions per ILP",
+                fn=fn_name, label=label_str,
+            ).inc()
+            registry.histogram(
+                M_FRAGMENT_STEPS,
+                help="hidden statements executed per fragment call",
+                buckets=STEP_BUCKETS, fn=fn_name, label=label_str,
+            ).observe(steps)
+            registry.counter(
+                M_STEPS, help="statements executed by side", side="hidden"
+            ).inc(steps)
+            for kind, count in stmt_counts.items():
+                registry.counter(
+                    M_STMTS, help="statement executions by AST kind",
+                    side="hidden", kind=kind,
+                ).inc(count)
+        if self._recorder is not None:
+            self._recorder.fragment(
+                fn_name, str(label), steps,
+                wall_us=round((time.perf_counter() - wall_t0) * 1e6, 1),
+            )
 
     def _tick(self):
         self.steps += 1

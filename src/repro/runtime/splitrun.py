@@ -17,7 +17,7 @@ from repro import obs
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.server import HiddenServer
+from repro.runtime.server import Tenant
 from repro.runtime.values import RuntimeErr
 
 #: exported metric name (documented in docs/OBSERVABILITY.md)
@@ -80,7 +80,8 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
               max_steps=20_000_000, batching=False, engine=DEFAULT_ENGINE,
               cache=False):
     """Execute a split program: open components in the interpreter, hidden
-    fragments on a :class:`HiddenServer`, through an accounting channel.
+    fragments on a :class:`~repro.runtime.server.HiddenServer`, through an
+    accounting channel.
 
     ``batching=True`` turns on the communication optimisation layer (send
     coalescing + callback batching, docs/PROTOCOL.md); results and output
@@ -94,14 +95,9 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
     (docs/ENGINE.md); the engines are observably bit-identical."""
     with obs.get_tracer().span("run.split", entry=entry):
         channel = Channel(latency or LatencyModel.lan(), record=record)
-        server = HiddenServer(
-            split_program.registry(),
-            channel,
-            max_steps=max_steps,
-            hidden_globals=getattr(split_program, "hidden_global_inits", None),
-            hidden_field_classes=getattr(split_program, "hidden_field_classes", None),
-            batching=batching,
-            engine=engine,
+        # a fresh tenant per run: nothing derived is shared across runs
+        server = Tenant.from_program("default", split_program).new_server(
+            channel, engine=engine, max_steps=max_steps, batching=batching,
             cache=cache,
         )
         interp = Interpreter(split_program.program, hidden_runtime=server,

@@ -34,7 +34,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime.interpreter import Interpreter, M_STMTS, OpenAccess
-from repro.runtime.server import HiddenServer
+from repro.runtime.server import Tenant
 from repro.runtime.splitrun import run_original, run_split
 from repro.runtime.values import RuntimeErr
 
@@ -273,11 +273,8 @@ def _observed_run(sp, cache):
     ``server.cache.stats()``)."""
     with obs.telemetry() as (registry, _tracer):
         channel = Channel(LatencyModel.instant(), record=True)
-        server = HiddenServer(
-            sp.registry(),
-            channel,
-            hidden_globals=getattr(sp, "hidden_global_inits", None),
-            cache=cache,
+        server = Tenant.from_program("default", sp).new_server(
+            channel, cache=cache
         )
         interp = Interpreter(sp.program, hidden_runtime=server)
         value = interp.run("main", (0,))
@@ -376,7 +373,7 @@ def test_write_only_name_replayed_even_when_value_was_already_there():
 
     def run(cache):
         channel = Channel(LatencyModel.instant(), record=False)
-        server = HiddenServer(registry, channel, cache=cache)
+        server = Tenant("f", registry).new_server(channel, cache=cache)
         out = []
         for seed in (-2, 7):  # first fill happens with v == -2 already
             hid = server.open_activation(0)
@@ -472,7 +469,9 @@ def test_no_partial_traffic_before_arity_check(monkeypatch):
     monkeypatch.setattr(OpenAccess, "fetch_batch", short_reply)
     with obs.telemetry():
         channel = Channel(LatencyModel.instant(), record=True)
-        server = HiddenServer(sp.registry(), channel, batching=True)
+        server = Tenant.from_program("default", sp).new_server(
+            channel, batching=True
+        )
         interp = Interpreter(sp.program, hidden_runtime=server)
         with pytest.raises(RuntimeErr):
             interp.run("main", (3,))

@@ -5,7 +5,7 @@ import pytest
 from repro.lang import parse_program, check_program
 from repro.core.program import split_program
 from repro.runtime.channel import Channel, LatencyModel
-from repro.runtime.server import HiddenServer
+from repro.runtime.server import Tenant
 from repro.runtime.splitrun import run_split
 from repro.runtime.values import RuntimeErr
 
@@ -88,7 +88,7 @@ def test_record_false_disables_transcript():
 def test_server_activation_lifecycle():
     _, sp = split()
     channel = Channel(LatencyModel.instant())
-    server = HiddenServer(sp.registry(), channel)
+    server = Tenant("f", sp.registry()).new_server(channel)
     hid = server.open_activation(0)
     assert hid in server.activations
     server.close_activation(hid)
@@ -99,21 +99,21 @@ def test_server_activation_lifecycle():
 
 def test_server_unknown_fn_id():
     _, sp = split()
-    server = HiddenServer(sp.registry(), Channel(LatencyModel.instant()))
+    server = Tenant("f", sp.registry()).new_server()
     with pytest.raises(RuntimeErr):
         server.open_activation(99)
 
 
 def test_server_unknown_activation():
     _, sp = split()
-    server = HiddenServer(sp.registry(), Channel(LatencyModel.instant()))
+    server = Tenant("f", sp.registry()).new_server()
     with pytest.raises(RuntimeErr):
         server.call(42, 0, [], None)
 
 
 def test_server_unknown_label():
     _, sp = split()
-    server = HiddenServer(sp.registry(), Channel(LatencyModel.instant()))
+    server = Tenant("f", sp.registry()).new_server()
     hid = server.open_activation(0)
     with pytest.raises(RuntimeErr, match="no fragment"):
         server.call(hid, 999, [], None)
@@ -121,7 +121,7 @@ def test_server_unknown_label():
 
 def test_server_call_after_close():
     _, sp = split()
-    server = HiddenServer(sp.registry(), Channel(LatencyModel.instant()))
+    server = Tenant("f", sp.registry()).new_server()
     hid = server.open_activation(0)
     label = next(iter(sp.splits["f"].fragments))
     server.close_activation(hid)
@@ -151,9 +151,7 @@ def test_server_exceeds_max_steps():
     program = parse_program(source)
     checker = check_program(program)
     sp = split_program(program, checker, [("f", "a")])
-    server = HiddenServer(
-        sp.registry(), Channel(LatencyModel.instant()), max_steps=10
-    )
+    server = Tenant("f", sp.registry()).new_server(max_steps=10)
     hid = server.open_activation(0)
     fragments = sp.splits["f"].fragments
     loop_label = next(
@@ -169,7 +167,7 @@ def test_server_exceeds_max_steps():
 
 def test_server_wrong_value_count():
     _, sp = split()
-    server = HiddenServer(sp.registry(), Channel(LatencyModel.instant()))
+    server = Tenant("f", sp.registry()).new_server()
     hid = server.open_activation(0)
     label, frag = next(
         (l, f) for l, f in sp.splits["f"].fragments.items() if f.params

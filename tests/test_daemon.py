@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import runpy
 import signal
 import socket
 import subprocess
@@ -27,6 +29,8 @@ from repro.core.deploy import export_split, export_split_json
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
 from repro.obs.events import FlightRecorder
+from repro.runtime.cache import M_CACHE_INVALIDATIONS
+from repro.runtime.compile import M_COMPILE_SECONDS
 from repro.runtime.remote import (
     MAX_FRAME_BYTES,
     M_CLIENTS,
@@ -44,6 +48,8 @@ from repro.runtime.remote import (
 )
 from repro.runtime.server import Tenant
 from repro.runtime.splitrun import run_original, run_split
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 ALPHA = """
 func int f(int x) {
@@ -221,7 +227,112 @@ def test_duplicate_program_names_are_rejected():
 
 def test_daemon_requires_at_least_one_program():
     with pytest.raises(ValueError, match="at least one program"):
-        HiddenComponentServer()
+        HiddenComponentServer([])
+
+
+# -- one tenant, many sessions ------------------------------------------------
+
+# two split functions, hidden loops and branches, and an open-array
+# callback: several fragments of each kind to compile
+SHARED = """
+func int f(int x, int[] B) {
+    int a = x + B[0];
+    int s = 0;
+    int i = 0;
+    while (i < x) { s = s + a; a = a - 1; i = i + 1; }
+    B[1] = s;
+    return s + a;
+}
+func int g(int y) {
+    int c = y * 3;
+    if (c > 10) { c = c - 10; } else { c = c + 1; }
+    return c;
+}
+func void main(int x) {
+    int[] B = new int[2];
+    B[0] = 5;
+    print(f(x, B));
+    print(g(x));
+    print(B[1]);
+}
+"""
+
+
+def _hidden_compiles(registry, engine):
+    return sum(
+        m.count for m in registry.collect()
+        if m.name == M_COMPILE_SECONDS
+        and m.labels == {"side": "hidden", "engine": engine}
+    )
+
+
+@pytest.mark.parametrize("engine", ["compiled", "codegen"])
+def test_sessions_of_one_tenant_compile_each_fragment_once(engine):
+    _, sp = make(SHARED, [("f", "a"), ("g", "c")])
+    expected = run_split(sp, args=(6,), engine=engine)
+    executed = {
+        (e.fn_name, e.label) for e in expected.channel.transcript.calls()
+    }
+    assert len(executed) > 4
+    outputs = []
+    with obs.telemetry() as (registry, _tracer):
+        with remote_server(sp, engine=engine) as address:
+            for _ in range(3):
+                outputs.append(run_split_remote(sp, address, args=(6,)).output)
+            barrier = threading.Barrier(8)
+
+            def client():
+                barrier.wait()
+                outputs.append(run_split_remote(sp, address, args=(6,)).output)
+
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30)
+        assert _hidden_compiles(registry, engine) == len(executed)
+    assert outputs == [expected.output] * 11
+
+
+def test_new_instance_over_the_daemon_invalidates_like_in_process():
+    # the daemon's new_instance op is the in-process notify_new_instance:
+    # new hidden field storage bumps the session cache's epoch both ways
+    example = runpy.run_path(str(EXAMPLES / "class_splitting.py"))
+    program = parse_program(example["CLASS_SOURCE"])
+    sp = split_class(program, check_program(program), "Meter")
+    with obs.telemetry() as (local, _tracer):
+        expected = run_split(sp, args=(5, 7), cache=True)
+    with remote_server(sp) as address:
+        with obs.telemetry() as (remote, _tracer):
+            result = run_split_remote(sp, address, args=(5, 7), cache=True)
+    assert result.output == expected.output
+    assert local.total(M_CACHE_INVALIDATIONS) > 0
+    assert (remote.total(M_CACHE_INVALIDATIONS)
+            == local.total(M_CACHE_INVALIDATIONS))
+
+
+def test_one_way_calls_never_pile_up_in_the_session_channel():
+    _, sp = make(ALPHA)
+    server = HiddenComponentServer(tenants=[Tenant.from_program("p", sp)])
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    sock, rfile, wfile = _wire(server.address)
+    try:
+        assert _recv(rfile)["deferrable"] == {"0": [0]}
+        _send(wfile, {"op": "hello", "batching": True})
+        _recv(rfile)
+        _send(wfile, {"op": "open", "fn_id": 0})
+        hid = _recv(rfile)["result"]
+        one_way = {"op": "call", "hid": hid, "label": 0, "values": [1]}
+        (session,) = server._sessions
+        for _ in range(5):
+            _send(wfile, {"op": "batch", "msgs": [one_way] * 20})
+            assert _recv(rfile) == {"result": 20}
+            assert session.inner.channel._pending == []
+    finally:
+        _hangup(sock)
+        server.shutdown()
+        thread.join(timeout=2.0)
 
 
 # -- hidden-only manifest load ---------------------------------------------------

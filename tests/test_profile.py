@@ -21,8 +21,8 @@ from repro.runtime.codegen import (
     _classify_deopt,
 )
 from repro.runtime.splitrun import run_original, run_split
-from repro.runtime.channel import Channel, LatencyModel
-from repro.runtime.server import HiddenServer
+from repro.runtime.channel import LatencyModel
+from repro.runtime.server import Tenant
 from repro.core.hidden import FragmentKind, HiddenFragment
 from repro.core.pipeline import prepare_split
 
@@ -235,10 +235,9 @@ def _assert_one_compile_limit_deopt(registry, recorder, side, fn):
     assert event["where"].startswith("line ")
 
 
-def _run_deep_fragment(engine):
-    """``(result, hidden steps)`` of one call of a fragment holding the
-    same 24 nested whiles.  No split produces a fragment that deep, so the
-    fragment is built directly."""
+def _deep_tenant():
+    """A tenant serving one fragment holding the same 24 nested whiles.
+    No split produces a fragment that deep, so it is built directly."""
     fragment = HiddenFragment(
         0, FragmentKind.EXPR, params=["n"],
         body=parse_statements(
@@ -249,9 +248,13 @@ def _run_deep_fragment(engine):
         ),
         result_expr=parse_expression("s"),
     )
-    server = HiddenServer({0: ("deep", {0: fragment}, {})},
-                          Channel(LatencyModel.instant(), record=False),
-                          engine=engine)
+    return Tenant("deep", {0: ("deep", {0: fragment}, {})})
+
+
+def _run_deep_fragment(engine, tenant=None):
+    """``(result, hidden steps)`` of one call of the deep fragment, in a
+    fresh session of ``tenant`` (a fresh tenant by default)."""
+    server = (tenant or _deep_tenant()).new_server(engine=engine)
     hid = server.open_activation(0)
     return server.call(hid, 0, (30,), None), server.steps
 
@@ -263,6 +266,18 @@ def test_crafted_hidden_deopt_counts_reason_and_records_event():
         result = _run_deep_fragment("codegen")
     assert result == reference  # same value, same step count
     assert result[0] == 30
+    _assert_one_compile_limit_deopt(registry, recorder, "hidden", "fragment#0")
+
+
+def test_sessions_of_one_tenant_share_one_hidden_deopt():
+    # the fallback body is the tenant's: a second session reuses it
+    # instead of generating, failing and counting the deopt again
+    reference = _run_deep_fragment("ast")
+    tenant = _deep_tenant()
+    recorder = FlightRecorder()
+    with obs.telemetry(recorder=recorder) as (registry, _tracer):
+        results = [_run_deep_fragment("codegen", tenant) for _ in range(2)]
+    assert results == [reference, reference]
     _assert_one_compile_limit_deopt(registry, recorder, "hidden", "fragment#0")
 
 

@@ -22,6 +22,7 @@ from repro.runtime.remote import (
     remote_server,
     run_split_remote,
 )
+from repro.runtime.server import Tenant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -242,11 +243,7 @@ def test_server_tags_events_including_batch_sub_ops():
     server_recorder = FlightRecorder(process="Hf")
     with obs.telemetry(recorder=server_recorder):
         # the server pins its recorder at construction time
-        server = HiddenComponentServer(
-            sp.registry(),
-            hidden_globals=getattr(sp, "hidden_global_inits", None),
-            hidden_field_classes=getattr(sp, "hidden_field_classes", None),
-        )
+        server = HiddenComponentServer([Tenant.from_program("default", sp)])
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
