@@ -36,6 +36,7 @@ from repro.analysis.selfcontained import analyze_self_contained
 from repro.core.pipeline import prepare_split
 from repro.lang import check_program, parse_program
 from repro.core.splitter import SplitError
+from repro.fuzz.selfcheck import PLANTS
 from repro.lang.errors import LangError
 from repro.runtime.values import RuntimeErr
 from repro.lang.pretty import pretty_function
@@ -1236,8 +1237,8 @@ def build_parser():
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads fuzzing seeds concurrently")
     p.add_argument("--configs", default=None, metavar="A,B,...",
-                   help="comma-separated configuration subset (default: all; "
-                   "see docs/TESTING.md for the matrix)")
+                   help="comma-separated configuration cells (default: the "
+                   "pairwise matrix; see docs/TESTING.md for the axes)")
     p.add_argument("--minimize", action="store_true",
                    help="delta-debug each diverging program to a minimal "
                    ".mj repro in the corpus directory")
@@ -1247,7 +1248,7 @@ def build_parser():
     p.add_argument("--self-check", action="store_true", dest="self_check",
                    help="plant a known bug and verify the fuzzer catches, "
                    "minimizes, and clears it")
-    p.add_argument("--plant", choices=["engine", "stale-cache"],
+    p.add_argument("--plant", choices=PLANTS,
                    default="engine",
                    help="which bug --self-check plants: 'engine' perturbs "
                    "hidden int results (any split cell catches it), "

@@ -6,22 +6,16 @@ Three cooperating pieces:
   generator.  Every emitted program type-checks and terminates under a
   small step budget by construction.
 * :mod:`repro.fuzz.oracle` — the differential oracle: runs one program
-  through the full execution-configuration matrix (original vs split,
-  AST vs compiled engine, batching on/off, in-process channel vs the
-  real socket transport) and diffs outputs, step counts and transcript
-  shapes against the reference configuration.
+  through an execution-configuration matrix derived from declared axes
+  (original vs split, engine, in-process channel vs the real socket
+  transport, batching, cache, tracing) and diffs outputs, step counts
+  and transcript shapes against the reference configuration.
 * :mod:`repro.fuzz.reduce` — a delta-debugging minimizer that shrinks a
   diverging program to a minimal ``.mj`` repro for ``tests/fuzz_corpus/``.
 
 :mod:`repro.fuzz.selfcheck` wires them together against a deliberately
 planted evaluator bug, proving the harness can actually catch one.
-The ``repro fuzz`` CLI (:mod:`repro.cli`) drives campaigns.
+The ``repro fuzz`` CLI (:mod:`repro.cli`) drives campaigns.  Import
+the submodules directly: the CLI reads ``selfcheck.PLANTS`` at start-up,
+so the package itself loads nothing.
 """
-
-from repro.fuzz.generate import GenConfig, RandomDraw, generate_program  # noqa: F401
-from repro.fuzz.oracle import (  # noqa: F401
-    CONFIG_NAMES,
-    Divergence,
-    run_matrix,
-)
-from repro.fuzz.reduce import minimize  # noqa: F401

@@ -1,38 +1,35 @@
 """The differential oracle: one program, every execution configuration.
 
-The reference configuration is the original (unsplit) program on the AST
-engine — the straightforward implementation of the language semantics.
-Every other configuration must agree with it on *observable behaviour*
-(printed output and entry return value), and configurations that differ
-only in execution strategy must also agree on the fine-grained accounting:
+The reference is the original (unsplit) program on the first engine of
+:data:`repro.runtime.ENGINES`, the AST walker.  Every other cell of the
+matrix must match its printed output, return value and errors.
 
-* ``original-compiled`` — same step count as the reference;
-* ``split-ast`` vs ``split-compiled`` and ``split-codegen`` vs
-  ``split-compiled`` (and their ``-batch`` variants) — identical
-  open/hidden step counts, round-trip counts, and transcript event-kind
-  sequences (the engines are documented bit-identical, docs/ENGINE.md);
-* ``socket-*`` — the real TCP transport must carry exactly the traffic
-  the simulated channel accounts for; the capability ``hello`` that
-  turns batching, tracing or the cache on is uncounted
-  (docs/PROTOCOL.md);
-* ``socket-compiled-traced`` — distributed tracing on (``--trace``):
-  trace context and phase measurement must not change behaviour *or*
-  accounting, so its round-trip count is checked against the untraced
-  ``split-compiled`` cell;
-* ``split-cache`` / ``split-cache-codegen`` / ``socket-cache`` — the
-  fragment result cache on (``--cache on``, docs/CACHING.md): hits must
-  be bit-identical to real executions, so the cache cells are held to
-  the engine-equivalence bar (steps *and* transcript kinds) against
-  their uncached counterparts.
+The matrix is derived from :data:`AXES` (docs/TESTING.md).  Its valid
+combinations are :data:`PRODUCT`, each cell named
+``{split|socket}-{engine}[-batch][-cache][-traced]``; socket cells pick
+the *client* engine, the in-process daemon runs the default one.  The
+default :data:`CONFIGS` is one ``original-{engine}`` cell per other
+engine plus a greedy pairwise cover of :data:`PRODUCT`.  Two rules hold
+the accounting, each group checked against its first present cell:
+
+* **steps** — original cells step like the reference; split cells take
+  equal open steps, and in-process ones equal hidden steps too;
+* **traffic** — split cells equal on :data:`TRAFFIC_AXES` make equal
+  round trips with equal transcript event kinds: engines, transport,
+  cache and tracing are traffic-neutral (docs/PROTOCOL.md).
 
 A program whose automatic selection finds nothing to split (or where an
 explicit choice raises ``SplitError``) skips the split configurations —
 that is a selection outcome, not a divergence.
 """
 
+from collections import namedtuple
+from itertools import combinations, product
+
 from repro import obs
 from repro.core.pipeline import split_source
 from repro.core.splitter import SplitError
+from repro.runtime import ENGINES
 from repro.runtime.channel import LatencyModel
 from repro.runtime.splitrun import run_original, run_split, _values_differ
 
@@ -40,83 +37,73 @@ from repro.runtime.splitrun import run_original, run_split, _values_differ
 M_PROGRAMS = "repro_fuzz_programs_total"
 M_DIVERGENCES = "repro_fuzz_divergences_total"
 
-#: the reference configuration every other one is diffed against
-BASELINE = "original-ast"
-
 #: generated programs are tiny; a run that needs more steps than this is
 #: itself a generator bug worth surfacing
 DEFAULT_MAX_STEPS = 2_000_000
 
 
-class Config:
-    """One cell of the execution matrix."""
+class Config(namedtuple("Config", "engine split socket batching cache trace",
+                        defaults=(True, False, False, False, False))):
+    """One cell of the execution matrix, named after its axis values."""
 
-    __slots__ = ("name", "split", "engine", "batching", "socket", "trace",
-                 "cache")
+    __slots__ = ()
 
-    def __init__(self, name, split, engine, batching=False, socket=False,
-                 trace=False, cache=False):
-        self.name = name
-        self.split = split
-        self.engine = engine
-        self.batching = batching
-        self.socket = socket
-        self.trace = trace
-        self.cache = cache
-
-    def __repr__(self):
-        return "<Config %s>" % self.name
+    @property
+    def name(self):
+        transport = ("socket" if self.socket else "split" if self.split
+                     else "original")
+        return "-".join([transport, self.engine] + [
+            suffix for suffix, on in (("batch", self.batching),
+                                      ("cache", self.cache),
+                                      ("traced", self.trace)) if on])
 
 
-#: the full matrix: original/split x ast/compiled/codegen x batching x transport.
-#: socket configs pick the *client* engine; the in-process server runs the
-#: default engine, so ``socket-ast`` additionally crosses engines between
-#: the two sides.
-CONFIGS = (
-    Config("original-compiled", split=False, engine="compiled"),
-    Config("split-ast", split=True, engine="ast"),
-    Config("split-compiled", split=True, engine="compiled"),
-    Config("split-ast-batch", split=True, engine="ast", batching=True),
-    Config("split-compiled-batch", split=True, engine="compiled",
-           batching=True),
-    Config("split-codegen", split=True, engine="codegen"),
-    Config("split-codegen-batch", split=True, engine="codegen",
-           batching=True),
-    Config("socket-ast", split=True, engine="ast", socket=True),
-    Config("socket-compiled", split=True, engine="compiled", socket=True),
-    Config("socket-compiled-batch", split=True, engine="compiled",
-           batching=True, socket=True),
-    Config("socket-compiled-traced", split=True, engine="compiled",
-           socket=True, trace=True),
-    Config("socket-codegen", split=True, engine="codegen", socket=True),
-    Config("split-cache", split=True, engine="compiled", cache=True),
-    Config("split-cache-codegen", split=True, engine="codegen", cache=True),
-    Config("socket-cache", split=True, engine="compiled", socket=True,
-           cache=True),
+#: the reference configuration every other one is diffed against
+REFERENCE = Config(ENGINES[0], split=False)
+BASELINE = REFERENCE.name
+
+#: what a split run can vary, in naming order
+AXES = {
+    "socket": (False, True),
+    "engine": ENGINES,
+    "batching": (False, True),
+    "cache": (False, True),
+    "trace": (False, True),
+}
+
+#: the only axes that change counted traffic
+TRAFFIC_AXES = ("batching",)
+
+#: every valid split cell; trace context rides on the wire, so only
+#: socket cells trace
+PRODUCT = tuple(
+    cell for cell in (Config(**dict(zip(AXES, values)))
+                      for values in product(*AXES.values()))
+    if cell.socket or not cell.trace
 )
 
-CONFIG_NAMES = tuple(c.name for c in CONFIGS)
 
-#: accounting cross-checks between configurations that must carry the
-#: same traffic: (left, right) — equal round-trip counts
-_TRAFFIC_PAIRS = (
-    ("split-ast", "split-compiled"),
-    ("split-ast-batch", "split-compiled-batch"),
-    ("socket-ast", "split-ast"),
-    ("socket-compiled", "split-compiled"),
-    ("split-codegen", "split-compiled"),
-    ("split-codegen-batch", "split-compiled-batch"),
-    ("socket-codegen", "split-codegen"),
-    ("socket-compiled-batch", "split-compiled-batch"),
-    # tracing rides in frame fields and the uncounted hello, so a traced
-    # run's accounting is identical to the plain socket run's
-    ("socket-compiled-traced", "split-compiled"),
-    # caching must not change traffic at all: hits replay the very round
-    # trips a real execution performs (docs/CACHING.md)
-    ("split-cache", "split-compiled"),
-    ("split-cache-codegen", "split-codegen"),
-    ("socket-cache", "split-cache"),
-)
+def _pairwise(cells):
+    """Greedily pick cells until every pair of axis values some cell
+    holds is held by a picked one; returned in ``cells`` order."""
+    pairs = {c: set(combinations([(a, getattr(c, a)) for a in AXES], 2))
+             for c in cells}
+    uncovered = set().union(*pairs.values())
+    picked = set()
+    while uncovered:
+        best = max(cells, key=lambda c: len(pairs[c] & uncovered))
+        picked.add(best)
+        uncovered -= pairs[best]
+    return tuple(c for c in cells if c in picked)
+
+
+#: the unsplit program on every engine but the reference's
+ORIGINALS = tuple(Config(e, split=False) for e in ENGINES[1:])
+
+#: the default matrix
+CONFIGS = ORIGINALS + _pairwise(PRODUCT)
+
+_BY_NAME = {c.name: c for c in ORIGINALS + PRODUCT}
 
 
 def select_configs(spec):
@@ -124,14 +111,13 @@ def select_configs(spec):
     if not spec:
         return CONFIGS
     wanted = [s.strip() for s in spec.split(",") if s.strip()]
-    by_name = {c.name: c for c in CONFIGS}
-    unknown = [w for w in wanted if w not in by_name]
+    unknown = [w for w in wanted if w not in _BY_NAME]
     if unknown:
         raise ValueError(
             "unknown config %s (known: %s)"
-            % (", ".join(unknown), ", ".join(CONFIG_NAMES))
+            % (", ".join(unknown), ", ".join(_BY_NAME))
         )
-    return tuple(by_name[w] for w in wanted)
+    return tuple(_BY_NAME[w] for w in wanted)
 
 
 class Observation:
@@ -220,7 +206,7 @@ def _run_config(config, program, sp, address, args, max_steps):
         batching=config.batching, engine=config.engine, cache=config.cache))
 
 
-def _diff_behaviour(result, config_name, base, obs_, args):
+def _diff_behaviour(config_name, base, obs_, args):
     """Output / return value / error identity against the reference."""
     found = []
     if (base.error is None) != (obs_.error is None) or (
@@ -242,47 +228,35 @@ def _diff_behaviour(result, config_name, base, obs_, args):
     return found
 
 
-def _diff_accounting(result, present, args):
-    """Step-count and transcript-shape agreement between configurations
-    that must execute identically."""
-    found = []
-    base = result.observations.get((BASELINE, args))
-    oc = present.get("original-compiled")
-    if oc is not None and oc.error is None and base.error is None:
-        if oc.steps_open != base.steps_open:
-            found.append(Divergence(
-                "original-compiled", BASELINE, "steps",
-                "%d vs %d open steps" % (oc.steps_open, base.steps_open),
-                args))
-    for eng_pair in (("split-ast", "split-compiled"),
-                     ("split-ast-batch", "split-compiled-batch"),
-                     ("split-codegen", "split-compiled"),
-                     ("split-codegen-batch", "split-compiled-batch"),
-                     # cache cells: a hit must replay the exact steps and
-                     # transcript of the execution it memoized
-                     ("split-cache", "split-compiled"),
-                     ("split-cache-codegen", "split-codegen")):
-        a, b = (present.get(n) for n in eng_pair)
-        if a is None or b is None or a.error or b.error:
-            continue
-        if (a.steps_open, a.steps_hidden) != (b.steps_open, b.steps_hidden):
-            found.append(Divergence(
-                eng_pair[0], eng_pair[1], "steps",
-                "open+hidden %d+%d vs %d+%d"
-                % (a.steps_open, a.steps_hidden, b.steps_open,
-                   b.steps_hidden), args))
-        if a.kinds != b.kinds:
-            found.append(Divergence(
-                eng_pair[0], eng_pair[1], "transcript",
-                "event kinds %r vs %r" % (a.kinds, b.kinds), args))
-    for left, right in _TRAFFIC_PAIRS:
-        a, b = present.get(left), present.get(right)
-        if a is None or b is None or a.error or b.error:
-            continue
-        if a.interactions != b.interactions:
-            found.append(Divergence(
-                left, right, "interactions",
-                "%d vs %d" % (a.interactions, b.interactions), args))
+def _agree(group, kind, what, measure, args):
+    """Hold every cell of ``group`` (``(Config, Observation)`` pairs) to
+    the first one's ``measure``; crashed runs are judged by behaviour."""
+    group = [(c.name, measure(o)) for c, o in group if o.error is None]
+    return [Divergence(name, group[0][0], kind,
+                       "%s %r vs %r" % (what, m, group[0][1]), args)
+            for name, m in group[1:] if m != group[0][1]]
+
+
+def _diff_accounting(present, args):
+    """The steps and traffic rules over ``present``, the reference's
+    ``(Config, Observation)`` first and the rest in matrix order."""
+    originals = [p for p in present if not p[0].split]
+    split = [p for p in present if p[0].split]
+    found = _agree(originals, "steps", "open steps",
+                   lambda o: o.steps_open, args)
+    found += _agree(split, "steps", "open steps",
+                    lambda o: o.steps_open, args)
+    found += _agree([p for p in split if not p[0].socket], "steps",
+                    "hidden steps", lambda o: o.steps_hidden, args)
+    groups = {}
+    for p in split:
+        key = tuple(getattr(p[0], axis) for axis in TRAFFIC_AXES)
+        groups.setdefault(key, []).append(p)
+    for group in groups.values():
+        found += _agree(group, "interactions", "round trips",
+                        lambda o: o.interactions, args)
+        found += _agree(group, "transcript", "event kinds",
+                        lambda o: o.kinds, args)
     return found
 
 
@@ -338,20 +312,17 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
         address = server_ctx.__enter__()
     try:
         for args in arg_sets:
-            base = _observe(lambda: run_original(
-                program, args=args, max_steps=max_steps, engine="ast"))
-            result.observations[(BASELINE, args)] = base
-            present = {}
-            for config in configs:
+            present = []
+            for config in (REFERENCE,) + configs:
                 if config.split and sp is None:
                     continue
                 obs_ = _run_config(config, program, sp, address, args,
                                    max_steps)
                 result.observations[(config.name, args)] = obs_
-                present[config.name] = obs_
+                present.append((config, obs_))
                 result.divergences.extend(
-                    _diff_behaviour(result, config.name, base, obs_, args))
-            result.divergences.extend(_diff_accounting(result, present, args))
+                    _diff_behaviour(config.name, present[0][1], obs_, args))
+            result.divergences.extend(_diff_accounting(present, args))
     finally:
         if server_ctx is not None:
             server_ctx.__exit__(None, None, None)

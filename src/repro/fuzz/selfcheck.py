@@ -28,10 +28,8 @@ Two plants are available (``--plant``):
 
 import contextlib
 
-from repro.fuzz import oracle
-from repro.fuzz.generate import generate_program
-from repro.fuzz.reduce import minimize
 from repro.lang.pretty import pretty
+from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.cache import FragmentCache
 from repro.runtime.server import HiddenServer
 
@@ -129,6 +127,8 @@ def _candidates(seed, max_programs, plant):
     if plant == "stale-cache":
         yield seed, STALE_CACHE_CANDIDATE, list(STALE_CACHE_ARG_SETS)
         return
+    from repro.fuzz.generate import generate_program
+
     for s in range(seed, seed + max_programs):
         program, arg_sets = generate_program(s)
         yield s, pretty(program), arg_sets
@@ -144,6 +144,11 @@ def run_selfcheck(seed=0, max_programs=20, configs=None, plant="engine"):
         raise ValueError(
             "unknown plant %r (known: %s)" % (plant, ", ".join(PLANTS))
         )
+    # the harness loads on use: the CLI imports this module for PLANTS on
+    # every start
+    from repro.fuzz import oracle
+    from repro.fuzz.reduce import minimize
+
     configs = tuple(configs) if configs else oracle.CONFIGS
     report = SelfCheckReport(plant=plant)
     stale = plant == "stale-cache"
@@ -164,24 +169,18 @@ def run_selfcheck(seed=0, max_programs=20, configs=None, plant="engine"):
                 break
         if not report.caught:
             return report
-        if stale:
-            # the stale read is a cache artefact: only cache-on cells
-            # may be implicated
-            cache_cells = {c.name for c in oracle.CONFIGS if c.cache}
-            report.only_split_configs = all(
-                d.config in cache_cells for d in report.divergences
-            )
-            fast = oracle.select_configs("split-cache")
-        else:
-            # the planted bug is hidden-side only: the unsplit compiled
-            # run must not be implicated
-            report.only_split_configs = all(
-                d.config != "original-compiled" for d in report.divergences
-            )
-            fast = oracle.select_configs("split-compiled")
+        # the stale read is a cache artefact, the engine plant hidden-side
+        # only: no cell without the cache (resp. without a split) may be
+        # implicated
+        cells = {c.name: c for c in configs}
+        report.only_split_configs = all(
+            cells[d.config].cache if stale else cells[d.config].split
+            for d in report.divergences
+        )
         # minimize against a single cheap in-process configuration,
         # anchored to behavioural (not accounting) divergence
         arg_sets = report.arg_sets
+        fast = (oracle.Config(DEFAULT_ENGINE, cache=stale),)
 
         def interesting(src):
             try:

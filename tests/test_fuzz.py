@@ -4,7 +4,7 @@ Three layers: the generator (deterministic, valid, terminating
 programs), the oracle (clean matrix on good engines, divergence when a
 bug is planted), and the minimizer (shrinks while preserving the
 predicate).  The committed corpus under ``tests/fuzz_corpus/`` is
-replayed through the full matrix here, turning every past finding into
+replayed through the default matrix here, turning every past finding into
 a permanent regression test, and the self-check drill — including its
 "minimized repro stays small" bound — is pinned as an acceptance test.
 """
@@ -21,6 +21,8 @@ from repro.fuzz import campaign, oracle, reduce, selfcheck
 from repro.fuzz.generate import GenConfig, generate_program
 from repro.lang import check_program, parse_program
 from repro.lang.pretty import pretty
+from repro.runtime import ENGINES
+from repro.runtime.remote import RemoteHiddenRuntime
 from repro.runtime.splitrun import run_original
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
@@ -58,8 +60,7 @@ def test_generator_covers_the_paper_constructs():
     must appear: classes, globals, callees, loops, breaks/continues."""
     joined = "\n".join(pretty(generate_program(s)[0]) for s in range(40))
     for needle in ("class Box", "global int g0", "func int g2", "for (",
-                   "break;", "continue;", "while" if "while" in joined
-                   else "if ("):
+                   "break;", "continue;", "if ("):
         assert needle in joined, "no seed in range generated %r" % needle
 
 
@@ -94,8 +95,46 @@ def test_select_configs():
     assert oracle.select_configs(None) == oracle.CONFIGS
     subset = oracle.select_configs("split-ast, original-compiled")
     assert [c.name for c in subset] == ["split-ast", "original-compiled"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         oracle.select_configs("split-ast,bogus")
+    message = str(excinfo.value)
+    assert "bogus" in message
+    for config in oracle.ORIGINALS + oracle.PRODUCT:
+        assert config.name in message
+
+
+def test_every_product_cell_is_selectable_by_name():
+    names = [c.name for c in oracle.PRODUCT]
+    assert len(set(names)) == len(names)
+    for config in oracle.PRODUCT:
+        assert oracle.select_configs(config.name) == (config,)
+    assert oracle.select_configs(",".join(names)) == oracle.PRODUCT
+
+
+def test_every_non_reference_engine_has_an_original_cell():
+    originals = [c for c in oracle.CONFIGS if not c.split]
+    assert sorted(c.engine for c in originals) == sorted(
+        e for e in ENGINES if e != oracle.REFERENCE.engine)
+    assert oracle.BASELINE == "original-ast"
+
+
+def test_default_matrix_covers_every_pair_of_axis_values():
+    """Every pair of axis values some valid cell holds runs together in
+    a default cell, with fewer cells than the full product."""
+
+    axes = list(oracle.AXES)
+
+    def pairs(cells):
+        return {((a, getattr(c, a)), (b, getattr(c, b)))
+                for c in cells
+                for i, a in enumerate(axes)
+                for b in axes[i + 1:]}
+
+    split_cells = [c for c in oracle.CONFIGS if c.split]
+    assert pairs(split_cells) == pairs(oracle.PRODUCT)
+    assert len(oracle.CONFIGS) < 15 and len(split_cells) < len(oracle.PRODUCT)
+    # trace context rides on the wire: in-process tracing is no cell
+    assert (("socket", False), ("trace", True)) not in pairs(oracle.PRODUCT)
 
 
 def test_unsplittable_program_is_not_a_divergence():
@@ -120,7 +159,39 @@ def test_planted_bug_diverges_split_configs_only():
     with selfcheck.planted_engine_bug():
         result = oracle.run_matrix(source, [(0, 0)])
     assert result.diverged
-    assert all(d.config != "original-compiled" for d in result.divergences)
+    cells = {c.name: c for c in oracle.CONFIGS}
+    assert all(cells[d.config].split for d in result.divergences)
+
+
+class _CloseRecordedAsOpen:
+    """A client channel that books every ``close`` round trip as an
+    ``open``: the count stays right, only the transcript is wrong."""
+
+    def __init__(self, channel):
+        self._channel = channel
+
+    def __getattr__(self, name):
+        return getattr(self._channel, name)
+
+    def round_trip(self, kind, *args, **kwargs):
+        return self._channel.round_trip(
+            "open" if kind == "close" else kind, *args, **kwargs)
+
+
+def test_socket_transcript_bug_diverges_socket_cells_only(monkeypatch):
+    init = RemoteHiddenRuntime.__init__
+
+    def buggy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.channel = _CloseRecordedAsOpen(self.channel)
+
+    monkeypatch.setattr(RemoteHiddenRuntime, "__init__", buggy_init)
+    source = pretty(generate_program(0)[0])
+    result = oracle.run_matrix(source, [(0, 0), (2, -3)])
+    assert result.diverged
+    cells = {c.name: c for c in oracle.CONFIGS}
+    assert {d.kind for d in result.divergences} == {"transcript"}
+    assert all(cells[d.config].socket for d in result.divergences)
 
 
 # -- minimizer ---------------------------------------------------------------
@@ -230,7 +301,8 @@ def test_cli_fuzz_writes_minimized_repro(tmp_path):
     "path", sorted(glob.glob(os.path.join(CORPUS_DIR, "*.mj"))),
     ids=os.path.basename)
 def test_corpus_replays_clean(path):
-    """Every committed repro must stay divergence-free on the full matrix."""
+    """Every committed repro must stay divergence-free on the default
+    matrix."""
     result = campaign.replay_file(path)
     assert not result.diverged, [d.describe() for d in result.divergences]
 
@@ -242,3 +314,11 @@ def test_selfcheck_catches_minimizes_and_clears():
     assert report.clean_without_bug
     assert report.minimized_lines <= 15  # acceptance bound (ISSUE 5)
     assert report.passed
+
+
+def test_stale_cache_selfcheck_implicates_cache_cells_only():
+    report = selfcheck.run_selfcheck(seed=0, plant="stale-cache")
+    assert report.passed
+    cells = {c.name: c for c in oracle.CONFIGS}
+    assert report.divergences
+    assert all(cells[d.config].cache for d in report.divergences)

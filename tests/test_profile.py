@@ -12,6 +12,7 @@ from repro.lang import check_program, parse_program
 from repro.lang.parser import parse_expression, parse_statements
 from repro.obs import profile
 from repro.obs.events import FlightRecorder
+from repro.runtime import ENGINES
 from repro.runtime.codegen import (
     M_DEOPT,
     CodegenRefused,
@@ -49,8 +50,6 @@ func void main(int n) {
     print(helper(n));
 }
 """
-
-ENGINES = ("ast", "compiled", "codegen")
 
 
 def _program():
