@@ -448,11 +448,11 @@ def _observable_tuple(result):
 
 
 def run_cache_experiment(scale=0.3, clients=4, iterations=6, engines=None,
-                         output=None, runs=None):
+                         runs=None):
     """Transparency and payoff of the fragment result cache (docs/CACHING.md).
 
-    Two parts, one document (``BENCH_cache.json``, gated by
-    ``tools/check_cache.py``):
+    Two parts, the ``cache`` section of the benchmark ledger
+    (``BENCH.json``, gated by ``tools/check_bench.py``):
 
     * **equivalence** — every Table 5 corpus x every engine, ``cache=True``
       against ``cache=False`` through :func:`run_split`: return value,
@@ -464,7 +464,6 @@ def run_cache_experiment(scale=0.3, clients=4, iterations=6, engines=None,
       reporting per-tenant hit rates, the fragment executions the cache
       saved, and wall/CPU deltas against an identical uncached run.
     """
-    import json
     import time
 
     from repro.loadgen import run_loadgen
@@ -589,15 +588,15 @@ def run_cache_experiment(scale=0.3, clients=4, iterations=6, engines=None,
         "divergences": divergences,
         "equivalence": equivalence,
         "tenants": tenants_data,
+        # corpora on which the cache saved fragment executions
+        "improved": sum(t["fragment_executions"]["on"]
+                        < t["fragment_executions"]["off"]
+                        for t in tenants_data.values()),
         "totals": {
             "wall_s": {"off": round(wall_off, 4), "on": round(wall_on, 4)},
             "cpu_s": {"off": round(cpu_off, 4), "on": round(cpu_on, 4)},
         },
     }
-    if output:
-        with open(output, "w") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
     return ExperimentResult("cache", data, table)
 
 
@@ -605,19 +604,17 @@ def run_cache_experiment(scale=0.3, clients=4, iterations=6, engines=None,
 
 
 def run_profile_experiment(scale=0.3, interval_ms=1.0, min_duration_s=1.2,
-                           engines=None, output=None, runs=None):
+                           engines=None, runs=None):
     """Sample every Table 5 corpus per engine and attribute the time.
 
     Each cell runs the split corpus under the stack sampler
     (:mod:`repro.obs.profile`), repeating the run until ``min_duration_s``
     of wall time was sampled, and records how much of it the frame-tag
     registry could attribute to ``(fn/fragment, engine, side)`` rows plus
-    the codegen deopt attribution.  ``output`` writes the machine-readable
-    document (``BENCH_profile.json``, gated by ``tools/check_profile.py``:
-    >=95% attribution everywhere, zero codegen deopts).
+    the codegen deopt attribution: the ``profile`` section of the benchmark
+    ledger (``BENCH.json``, gated by ``tools/check_bench.py``: >=95%
+    attribution everywhere, zero codegen deopts).
     """
-    import json
-
     from repro.obs import profile as profmod
     from repro.obs.events import FlightRecorder
     from repro.runtime import ENGINES
@@ -679,10 +676,6 @@ def run_profile_experiment(scale=0.3, interval_ms=1.0, min_duration_s=1.2,
         "engines": engines,
         "corpora": corpora,
     }
-    if output:
-        with open(output, "w") as f:
-            json.dump(data, f, indent=2, sort_keys=True)
-            f.write("\n")
     return ExperimentResult("profile", data, table)
 
 

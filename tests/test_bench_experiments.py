@@ -1,5 +1,7 @@
 """Experiment harness tests: each table runs and matches the paper's shape."""
 
+import json
+
 import pytest
 
 from repro.bench.experiments import (
@@ -159,3 +161,28 @@ def test_rt_attribution_over_the_wire():
     rendered = result.render()
     assert "Round-trip latency attribution over the wire" in rendered
     assert "Explained" in rendered
+
+
+@pytest.mark.parametrize("names", [["fig2"], ["profile", "cache"]])
+def test_output_is_a_parser_error_outside_the_ledger(names, tmp_path, capsys):
+    from repro.bench.__main__ import main
+
+    out = tmp_path / "doc.json"
+    with pytest.raises(SystemExit) as exc:
+        main(names + ["--scale", "0.05", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "--output writes the ledger" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_writes_the_ledger(monkeypatch, tmp_path):
+    from repro.bench import ledger
+    from repro.bench.__main__ import main
+    from repro.bench.experiments import ExperimentResult
+
+    doc = {"engines": {"workloads": {}}}
+    monkeypatch.setattr(ledger, "run_ledger",
+                        lambda: ExperimentResult("ledger", doc, "t"))
+    out = tmp_path / "BENCH.json"
+    assert main(["ledger", "--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == doc
