@@ -35,17 +35,16 @@ def auto_split(program, checker, entry="main", max_functions=None, options=None,
     ``repro_phase_seconds`` histogram, so ``repro stats`` reports where
     splitting time is spent.
     """
-    tracer = obs.get_tracer()
     options = options or SplitOptions()
-    with tracer.span("select"):
+    with obs.span("select"):
         names = select_functions(program, checker, entry=entry,
                                  max_functions=max_functions)
     choices = []
     for name in names:
         fn = program.function(name)
-        with tracer.span("slice", fn=name):
+        with obs.span("slice", fn=name):
             analysis = analyze_function(fn, checker)
-        with tracer.span("select", fn=name):
+        with obs.span("select", fn=name):
             var, _trial = select_variable(fn, analysis, options=options,
                                           scorer=scorer)
         if var is not None:

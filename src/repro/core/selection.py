@@ -77,7 +77,7 @@ def _default_scorer(split, analysis):
 
     from repro import obs
 
-    with obs.get_tracer().span("classify", fn=split.name):
+    with obs.span("classify", fn=split.name):
         complexities = estimate_split_complexities(split, analysis)
     if not complexities:
         return (0, 0, 0, split.slice.size())

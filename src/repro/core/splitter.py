@@ -106,7 +106,7 @@ def split_function(fn, var, analysis, fn_id=0, options=None,
     """
     from repro import obs
 
-    with obs.get_tracer().span("rewrite", fn=fn.name):
+    with obs.span("rewrite", fn=fn.name):
         return _split_function(fn, var, analysis, fn_id=fn_id, options=options,
                                hidden_storage=hidden_storage,
                                storage_class=storage_class)

@@ -27,6 +27,7 @@ from collections import namedtuple
 from itertools import combinations, product
 
 from repro import obs
+from repro.obs.metrics import declare
 from repro.core.pipeline import split_source
 from repro.core.splitter import SplitError
 from repro.runtime import ENGINES
@@ -34,8 +35,10 @@ from repro.runtime.channel import LatencyModel
 from repro.runtime.splitrun import run_original, run_split, _values_differ
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_PROGRAMS = "repro_fuzz_programs_total"
-M_DIVERGENCES = "repro_fuzz_divergences_total"
+M_PROGRAMS = declare("repro_fuzz_programs_total", "counter",
+                     "programs fuzzed")
+M_DIVERGENCES = declare("repro_fuzz_divergences_total", "counter",
+                        "diverging programs")
 
 #: generated programs are tiny; a run that needs more steps than this is
 #: itself a generator bug worth surfacing
@@ -327,9 +330,9 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
         if server_ctx is not None:
             server_ctx.__exit__(None, None, None)
 
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(M_PROGRAMS, help="programs fuzzed").inc()
+    registry = obs.active_registry()
+    if registry is not None:
+        registry.counter(M_PROGRAMS).inc()
         if result.diverged:
-            registry.counter(M_DIVERGENCES, help="diverging programs").inc()
+            registry.counter(M_DIVERGENCES).inc()
     return result

@@ -18,13 +18,17 @@ import urllib.request
 from repro import obs
 from repro.loadgen.client import SyntheticClient
 from repro.loadgen.replay import summarize
-from repro.obs.metrics import RT_PHASE_BUCKETS
+from repro.obs.metrics import RT_PHASE_BUCKETS, declare
 from repro.obs.traceview import _quantile
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_OPS = "repro_loadgen_ops_total"
-M_ERRORS = "repro_loadgen_errors_total"
-M_LATENCY = "repro_loadgen_op_seconds"
+M_OPS = declare("repro_loadgen_ops_total", "counter",
+                "synthetic client ops answered", ("kind",))
+M_ERRORS = declare("repro_loadgen_errors_total", "counter",
+                   "synthetic client failures", ("reason",))
+M_LATENCY = declare("repro_loadgen_op_seconds", "histogram",
+                    "synthetic client round-trip seconds",
+                    buckets=RT_PHASE_BUCKETS)
 
 _SLO_PART = re.compile(r"^p(\d{1,2}(?:\.\d+)?)=(\d+(?:\.\d+)?)(ms|s)$")
 
@@ -183,22 +187,15 @@ def run_loadgen(address, script, clients=8, iterations=1, mode="closed",
 
 def _record_metrics(report, latencies):
     """Mirror the report into the active telemetry registry (--metrics)."""
-    registry = obs.get_registry()
-    if not registry.enabled:
+    registry = obs.active_registry()
+    if registry is None:
         return
     for kind, n in report["op_counts"].items():
-        registry.counter(
-            M_OPS, help="synthetic client ops answered", kind=kind,
-        ).inc(n)
+        registry.counter(M_OPS, kind=kind).inc(n)
     for reason, n in report["errors"].items():
         if n:
-            registry.counter(
-                M_ERRORS, help="synthetic client failures", reason=reason,
-            ).inc(n)
-    hist = registry.histogram(
-        M_LATENCY, help="synthetic client round-trip seconds",
-        buckets=RT_PHASE_BUCKETS,
-    )
+            registry.counter(M_ERRORS, reason=reason).inc(n)
+    hist = registry.histogram(M_LATENCY)
     for v in latencies:
         hist.observe(v)
 

@@ -59,6 +59,9 @@ import json
 import threading
 import time
 
+from repro import obs
+from repro.obs.metrics import declare
+
 #: accepted values for ``--log-events-format``
 EVENT_FORMATS = ("jsonl", "chrome")
 
@@ -66,7 +69,8 @@ EVENT_FORMATS = ("jsonl", "chrome")
 DEFAULT_MAX_EVENTS = 100_000
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_EVICTED = "repro_recorder_evicted_total"
+M_EVICTED = declare("repro_recorder_evicted_total", "counter",
+                    "flight-recorder events evicted by the bounded buffer")
 
 
 class FlightRecorder:
@@ -76,8 +80,6 @@ class FlightRecorder:
     (``repro trace`` labels the client stream "Of" and the server stream
     "Hf"; a standalone recorder defaults to "repro").
     """
-
-    enabled = True
 
     def __init__(self, max_events=DEFAULT_MAX_EVENTS, clock=time.perf_counter,
                  process="repro"):
@@ -132,14 +134,10 @@ class FlightRecorder:
     def _count_eviction(self):
         counter = self._evicted_counter
         if counter is None:
-            # lazy: repro.obs imports this module, so the registry lookup
-            # must happen at runtime, not import time
-            from repro import obs
-
-            counter = self._evicted_counter = obs.get_registry().counter(
-                M_EVICTED,
-                help="flight-recorder events evicted by the bounded buffer",
-            )
+            registry = obs.active_registry()
+            if registry is None:
+                return
+            counter = self._evicted_counter = registry.counter(M_EVICTED)
         counter.inc()
 
     def stats(self):
@@ -194,53 +192,6 @@ class FlightRecorder:
 
     def __len__(self):
         return len(self.events)
-
-
-class NullRecorder:
-    """Disabled flight recorder: no allocation, no recording."""
-
-    enabled = False
-    events = ()
-    evicted = 0
-    seq = 0
-    max_events = 0
-    process = "repro"
-
-    def now_us(self):
-        return 0.0
-
-    def context(self, **fields):
-        return contextlib.nullcontext()
-
-    def stats(self):
-        return {"max_events": 0, "seq": 0, "evicted": 0, "buffered": 0}
-
-    def record(self, etype, **fields):
-        return None
-
-    def channel(self, kind, fn, label, values, payload_bytes, sim_ms, **extra):
-        return None
-
-    def fragment(self, fn, label, steps, wall_us=0.0):
-        return None
-
-    def span_open(self, name, depth):
-        return None
-
-    def span_close(self, name, depth, wall_s, sim_ms):
-        return None
-
-    def deopt(self, side, fn, reason, where):
-        return None
-
-    def by_type(self, etype):
-        return []
-
-    def __len__(self):
-        return 0
-
-
-NULL_RECORDER = NullRecorder()
 
 
 # -- serialisation -----------------------------------------------------------

@@ -84,7 +84,7 @@ def to_prometheus(registry):
 def to_dict(registry, tracer=None, recorder=None):
     """Structured snapshot: ``{"metrics": [...], "spans": {...}}``, plus a
     ``"recorder"`` block (buffer stats, :meth:`FlightRecorder.stats`) when
-    an enabled flight recorder is passed."""
+    a flight recorder is passed."""
     samples = []
     for metric in registry.collect():
         sample = {
@@ -113,7 +113,7 @@ def to_dict(registry, tracer=None, recorder=None):
     doc = {"metrics": samples}
     if tracer is not None:
         doc["spans"] = tracer.summary()
-    if recorder is not None and getattr(recorder, "enabled", False):
+    if recorder is not None:
         doc["recorder"] = recorder.stats()
     return doc
 

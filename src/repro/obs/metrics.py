@@ -3,15 +3,20 @@
 The registry is the single collection point for everything the runtime
 measures — channel round trips, open/hidden statement counts, splitter
 phase durations.  Metrics are identified by ``(name, labels)``; asking the
-registry for the same identity twice returns the same object, so hot paths
-can either cache the metric or look it up per event.
+registry for the same identity twice returns the same object.
 
-Telemetry is *opt-in*.  The module-level default is :data:`NULL_REGISTRY`,
-whose factory methods hand back shared no-op metric singletons: an
-instrumented code path costs one attribute call and no allocation when
-telemetry is disabled (the Table 5 overhead numbers are simulated-time and
-therefore bit-identical either way, but the wall-clock cost matters for
-``python -m repro.bench``).
+Every exported ``repro_*`` metric is declared once, beside its ``M_*``
+constant, with :func:`declare`: its kind, help text, label names and (for
+histograms) buckets.  A registry keeps one :class:`Family` per name, which
+fixes those facts for the name — a second kind or bucket grid raises
+``TypeError`` — and holds its children by label values, so an instrumented
+layer keeps its families and updates a bound child with one dict probe
+instead of a registry lookup.  Undeclared names still work; their first
+registration fixes the kind, help, label names and buckets.
+
+Telemetry is *opt-in*: when it is off there is no registry at all
+(:func:`repro.obs.active_registry` returns ``None``), and instrumented
+layers cache that ``None`` at construction.
 """
 
 import bisect
@@ -138,45 +143,62 @@ class Histogram:
         return float(self.buckets[-1]) if self.buckets else 0.0
 
 
-class _NullMetric:
-    """Shared do-nothing stand-in for every metric kind."""
+_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Histogram)}
 
-    __slots__ = ()
-    value = 0
-    count = 0
-    sum = 0
-
-    def inc(self, amount=1):
-        pass
-
-    def dec(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def quantile(self, q):
-        return 0.0
+#: every declared metric: name -> (kind class, help, label names, buckets)
+DECLARED = {}
 
 
-NULL_METRIC = _NullMetric()
+def declare(name, kind, help, labels=(), buckets=DEFAULT_BUCKETS):
+    """Declare metric ``name`` once: ``kind`` is ``"counter"``,
+    ``"gauge"`` or ``"histogram"``, ``labels`` the label names in the
+    order :meth:`Family.child` takes their values, ``buckets`` a
+    histogram's upper bounds.  Returns ``name``, so the ``M_*`` constant
+    it is assigned to stays a plain string."""
+    if name in DECLARED:
+        raise ValueError("metric %r is declared twice" % name)
+    cls = _KINDS[kind]
+    DECLARED[name] = (cls, help, tuple(labels),
+                      tuple(buckets) if cls is Histogram else None)
+    return name
 
 
-def _label_key(labels):
-    return tuple(sorted(labels.items()))
+class Family:
+    """One metric name in one registry: its kind, help text, label names
+    and buckets, fixed by the declaration (or, for an undeclared name, by
+    its first registration), and its children keyed by label values in
+    label-name order."""
+
+    __slots__ = ("name", "cls", "help", "labels", "buckets", "children")
+
+    def __init__(self, name, cls, help, labels, buckets):
+        self.name = name
+        self.cls = cls
+        self.help = help
+        self.labels = labels
+        self.buckets = buckets
+        self.children = {}
+
+    def child(self, *values):
+        """The metric for these label values: made on first use, then one
+        dict probe."""
+        metric = self.children.get(values)
+        if metric is None:
+            labels = dict(zip(self.labels, values))
+            # setdefault: daemon sessions binding one child on two threads
+            # must get one metric, not each its own
+            metric = self.children.setdefault(values, (
+                Histogram(self.name, labels, self.buckets)
+                if self.cls is Histogram else self.cls(self.name, labels)))
+        return metric
 
 
 class Registry:
-    """Collection point for metric instances, keyed by ``(name, labels)``."""
-
-    enabled = True
+    """Collection point for metric instances: one :class:`Family` per
+    name, each holding its children."""
 
     def __init__(self):
-        self._metrics = {}
-        self._help = {}
+        self._families = {}
 
     # -- factories ---------------------------------------------------------
 
@@ -186,83 +208,69 @@ class Registry:
     def gauge(self, name, help=None, **labels):
         return self._get(Gauge, name, help, labels)
 
-    def histogram(self, name, help=None, buckets=DEFAULT_BUCKETS, **labels):
-        return self._get(Histogram, name, help, labels, buckets=buckets)
+    def histogram(self, name, help=None, buckets=None, **labels):
+        return self._get(Histogram, name, help, labels, buckets)
 
-    def _get(self, cls, name, help, labels, **extra):
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(name, dict(labels), **extra)
-            self._metrics[key] = metric
-            if help:
-                self._help.setdefault(name, help)
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                "metric %r already registered as %s" % (name, metric.kind)
-            )
-        return metric
+    def family(self, name):
+        """The :class:`Family` of declared metric ``name``."""
+        return self._family(DECLARED[name][0], name, None, None, None)
 
-    # -- reading -----------------------------------------------------------
+    def _family(self, cls, name, help, labels, buckets):
+        family = self._families.get(name)
+        if family is None:
+            declared = DECLARED.get(name) or (
+                cls, help or "", tuple(sorted(labels)),
+                tuple(buckets or DEFAULT_BUCKETS) if cls is Histogram else None)
+            family = self._families.setdefault(name, Family(name, *declared))
+        if family.cls is not cls:
+            raise TypeError("metric %r is a %s, not a %s"
+                            % (name, family.cls.kind, cls.kind))
+        if buckets is not None and tuple(buckets) != family.buckets:
+            raise TypeError("metric %r has buckets %r, not %r"
+                            % (name, family.buckets, tuple(buckets)))
+        return family
+
+    def _get(self, cls, name, help, labels, buckets=None):
+        family = self._family(cls, name, help, labels, buckets)
+        if len(labels) != len(family.labels) or not all(
+                key in labels for key in family.labels):
+            raise TypeError("metric %r takes labels %r, not %r"
+                            % (name, family.labels, tuple(labels)))
+        return family.child(*[labels[key] for key in family.labels])
+
+    # -- reading ---------------------------------------------------------
 
     def collect(self):
         """All metrics, sorted by name then label key (stable exposition)."""
-        return [m for _, m in sorted(self._metrics.items())]
+        # list() copies each dict in one step, so daemon sessions adding
+        # children meanwhile cannot break the iteration
+        return [m for _, m in sorted(
+            ((name, tuple(sorted(m.labels.items()))), m)
+            for name, family in list(self._families.items())
+            for m in list(family.children.values()))]
 
     def help_text(self, name):
-        return self._help.get(name, "")
+        family = self._families.get(name)
+        return family.help if family is not None else ""
 
     def value(self, name, **labels):
         """The value of one counter/gauge sample, 0 when absent."""
-        metric = self._metrics.get((name, _label_key(labels)))
+        family = self._families.get(name)
+        if family is None or set(labels) != set(family.labels):
+            return 0
+        metric = family.children.get(tuple(labels[k] for k in family.labels))
         return metric.value if metric is not None else 0
 
     def total(self, name):
         """Sum of a counter/gauge family across all label sets."""
-        return sum(
-            m.value for (n, _), m in self._metrics.items()
-            if n == name and not isinstance(m, Histogram)
-        )
+        family = self._families.get(name)
+        if family is None or family.cls is Histogram:
+            return 0
+        return sum(m.value for m in list(family.children.values()))
 
     def names(self):
-        return sorted({name for name, _ in self._metrics})
+        return sorted(name for name, family in list(self._families.items())
+                      if family.children)
 
     def __len__(self):
-        return len(self._metrics)
-
-
-class NullRegistry:
-    """Disabled-telemetry registry: every factory returns the shared no-op
-    metric, so instrumented paths never allocate."""
-
-    enabled = False
-
-    def counter(self, name, help=None, **labels):
-        return NULL_METRIC
-
-    def gauge(self, name, help=None, **labels):
-        return NULL_METRIC
-
-    def histogram(self, name, help=None, buckets=DEFAULT_BUCKETS, **labels):
-        return NULL_METRIC
-
-    def collect(self):
-        return []
-
-    def help_text(self, name):
-        return ""
-
-    def value(self, name, **labels):
-        return 0
-
-    def total(self, name):
-        return 0
-
-    def names(self):
-        return []
-
-    def __len__(self):
-        return 0
-
-
-NULL_REGISTRY = NullRegistry()
+        return sum(len(f.children) for f in list(self._families.values()))

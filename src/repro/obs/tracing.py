@@ -14,19 +14,22 @@ trips recorded mid-run attach their simulated cost to whatever phase is
 currently open.  Finished spans are aggregated by name into a summary
 (count / wall / simulated) and, when the tracer owns a registry, phase
 durations are also exported as the ``repro_phase_seconds`` histogram.
-Detail spans are retained up to ``max_spans`` to bound memory on long runs.
+Round trips themselves are not spans: the channel counts them in the
+registry and the flight recorder, and only charges their simulated cost
+here (:meth:`Tracer.add_sim_ms`).
 """
 
 import time
 
-from repro.obs.metrics import DEFAULT_BUCKETS
+from repro.obs.metrics import declare
 
-#: registry histogram fed by every context-manager span
-PHASE_SECONDS = "repro_phase_seconds"
+#: registry histogram fed by every span
+PHASE_SECONDS = declare("repro_phase_seconds", "histogram",
+                        "wall-clock duration of profiled phases", ("phase",))
 
 
 class Span:
-    """One timed region (or instantaneous event) with attributes."""
+    """One timed region with attributes."""
 
     __slots__ = ("name", "attrs", "wall_s", "sim_ms", "depth", "_t0", "_tracer")
 
@@ -42,8 +45,7 @@ class Span:
     def __enter__(self):
         # the span joins the open-span stack only once it actually starts:
         # a Span created but never entered must not absorb add_sim_ms
-        # charges (that skew made summary()'s sim_ms depend on the entry
-        # point; see tests/test_obs.py golden-schema tests)
+        # charges
         self._tracer._stack.append(self)
         self._t0 = time.perf_counter()
         recorder = self._tracer.recorder
@@ -53,7 +55,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb):
         self.wall_s = time.perf_counter() - self._t0
-        self._tracer._finish(self, record_phase=True)
+        self._tracer._finish(self)
         return False
 
     def __repr__(self):
@@ -63,47 +65,30 @@ class Span:
 
 
 class Tracer:
-    """Records spans; aggregates by name; caps retained detail.
+    """Records spans and aggregates them by name.
 
     When the tracer owns a flight recorder (:mod:`repro.obs.events`),
-    every context-manager span also lands in the event stream as a
-    ``span_open``/``span_close`` pair; instantaneous :meth:`emit` spans do
-    *not* (the channel records those itself, with richer fields).
+    every span also lands in the event stream as a
+    ``span_open``/``span_close`` pair.
     """
 
-    enabled = True
-
-    def __init__(self, registry=None, max_spans=1000, recorder=None):
+    def __init__(self, registry=None, recorder=None):
         self.registry = registry
         self.recorder = recorder
-        self.max_spans = max_spans
-        self.spans = []
-        self.dropped = 0
         self._stack = []
         self._summary = {}
 
     def span(self, name, **attrs):
         """Context manager for a timed region; nests via the open-span
-        stack.  Simulated time charged while it is open accrues to it.
-        The span enters the stack at ``__enter__``, not creation, so both
-        entry points (``with tracer.span(...)`` and :meth:`emit`) account
-        wall and simulated time identically."""
+        stack.  Simulated time charged while it is open accrues to it."""
         return Span(name, attrs, tracer=self, depth=len(self._stack))
-
-    def emit(self, name, sim_ms=0.0, **attrs):
-        """Record an instantaneous event span (e.g. one channel round
-        trip): no wall duration, optional simulated cost."""
-        s = Span(name, attrs, tracer=self, depth=len(self._stack))
-        s.sim_ms = sim_ms
-        self._finish(s, record_phase=False)
-        return s
 
     def add_sim_ms(self, ms):
         """Charge simulated time to the innermost open span, if any."""
         if self._stack:
             self._stack[-1].sim_ms += ms
 
-    def _finish(self, span, record_phase):
+    def _finish(self, span):
         if span in self._stack:
             # normally the top of stack; removing by identity also heals
             # out-of-order closes instead of corrupting later accounting
@@ -118,21 +103,13 @@ class Tracer:
             entry[0] += 1
             entry[1] += span.wall_s
             entry[2] += span.sim_ms
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
-        else:
-            self.dropped += 1
-        if record_phase and self.recorder is not None:
+        if self.recorder is not None:
             self.recorder.span_close(
                 span.name, span.depth, span.wall_s, span.sim_ms
             )
-        if record_phase and self.registry is not None:
-            self.registry.histogram(
-                PHASE_SECONDS,
-                help="wall-clock duration of profiled phases",
-                buckets=DEFAULT_BUCKETS,
-                phase=span.name,
-            ).observe(span.wall_s)
+        if self.registry is not None:
+            self.registry.family(PHASE_SECONDS).child(span.name).observe(
+                span.wall_s)
 
     def summary(self):
         """``{name: {"count", "wall_s", "sim_ms"}}``, sorted by name."""
@@ -140,41 +117,3 @@ class Tracer:
             name: {"count": c, "wall_s": w, "sim_ms": s}
             for name, (c, w, s) in sorted(self._summary.items())
         }
-
-
-class _NullSpan:
-    """Reusable no-op context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Disabled-telemetry tracer: no allocation, no recording."""
-
-    enabled = False
-    spans = ()
-    dropped = 0
-
-    def span(self, name, **attrs):
-        return _NULL_SPAN
-
-    def emit(self, name, sim_ms=0.0, **attrs):
-        return None
-
-    def add_sim_ms(self, ms):
-        pass
-
-    def summary(self):
-        return {}
-
-
-NULL_TRACER = NullTracer()

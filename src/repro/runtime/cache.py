@@ -39,12 +39,18 @@ import collections
 import threading
 
 from repro import obs
+from repro.obs.metrics import declare
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_CACHE_HITS = "repro_cache_hits_total"
-M_CACHE_MISSES = "repro_cache_misses_total"
-M_CACHE_EVICTIONS = "repro_cache_evictions_total"
-M_CACHE_INVALIDATIONS = "repro_cache_invalidations_total"
+M_CACHE_HITS = declare("repro_cache_hits_total", "counter",
+                       "fragment cache hits", ("program",))
+M_CACHE_MISSES = declare("repro_cache_misses_total", "counter",
+                         "fragment cache misses", ("program",))
+M_CACHE_EVICTIONS = declare("repro_cache_evictions_total", "counter",
+                            "fragment cache LRU/quota evictions", ("program",))
+M_CACHE_INVALIDATIONS = declare("repro_cache_invalidations_total", "counter",
+                                "fragment cache epoch invalidations",
+                                ("program",))
 
 #: per-session entry bound when no explicit size is configured
 DEFAULT_MAX_ENTRIES = 1024
@@ -128,10 +134,8 @@ class FragmentCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._registry = obs.active_registry()
+        self._recorder = obs.get_recorder()
 
     # -- probing ---------------------------------------------------------------
 
@@ -149,11 +153,11 @@ class FragmentCache:
         ):
             self.entries.move_to_end(key)
             self.hits += 1
-            self._count(M_CACHE_HITS, "fragment cache hits")
+            self._count(M_CACHE_HITS)
             self._event("hit", fn, label)
             return entry
         self.misses += 1
-        self._count(M_CACHE_MISSES, "fragment cache misses")
+        self._count(M_CACHE_MISSES)
         self._event("miss", fn, label)
         return None
 
@@ -181,7 +185,7 @@ class FragmentCache:
         if self.quota is not None:
             self.quota.release()
         self.evictions += 1
-        self._count(M_CACHE_EVICTIONS, "fragment cache LRU/quota evictions")
+        self._count(M_CACHE_EVICTIONS)
         self._event("evict", fn, label)
 
     def invalidate(self, fn="", label=None):
@@ -190,8 +194,7 @@ class FragmentCache:
         order; entries that read no hidden store stay valid."""
         self.epoch += 1
         self.invalidations += 1
-        self._count(M_CACHE_INVALIDATIONS,
-                    "fragment cache epoch invalidations")
+        self._count(M_CACHE_INVALIDATIONS)
         self._event("invalidate", fn, label)
 
     def release_all(self):
@@ -216,11 +219,9 @@ class FragmentCache:
             "epoch": self.epoch,
         }
 
-    def _count(self, name, help_):
+    def _count(self, name):
         if self._registry is not None:
-            self._registry.counter(
-                name, help=help_, program=self.program
-            ).inc()
+            self._registry.family(name).child(self.program).inc()
 
     def _event(self, event, fn, label):
         if self._recorder is not None:

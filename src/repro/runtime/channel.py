@@ -15,10 +15,10 @@ before any ordinary :meth:`Channel.round_trip`, or explicitly via
 
 When telemetry is enabled (:mod:`repro.obs`), every round trip is also
 recorded in the active registry — counters by event kind, per-ILP value
-counts, payload-size and simulated-latency histograms — and emitted as an
-instantaneous tracer span tagged with the fragment label.  When a flight
-recorder is active (``--log-events``, :mod:`repro.obs.events`) every
-round trip additionally lands in the bounded per-event stream that
+counts, payload-size and simulated-latency histograms — and its simulated
+cost is charged to the open tracer span.  When a flight recorder is
+active (``--log-events``, :mod:`repro.obs.events`) every round trip
+additionally lands in the bounded per-event stream that
 :mod:`repro.obs.audit` joins against the static Section 3 estimates.
 """
 
@@ -28,17 +28,32 @@ from repro.obs.metrics import (
     BYTE_BUCKETS,
     RT_PHASE_BUCKETS,
     SIM_MS_BUCKETS,
+    declare,
 )
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_ROUND_TRIPS = "repro_channel_round_trips_total"
-M_VALUES = "repro_channel_values_total"
-M_PAYLOAD_BYTES = "repro_channel_payload_bytes"
-M_RTT_SIM_MS = "repro_channel_rtt_simulated_ms"
-M_SIM_MS = "repro_channel_simulated_ms_total"
-M_BATCH_SIZE = "repro_channel_batch_size"
-M_COALESCED = "repro_channel_coalesced_total"
-M_RT_PHASE = "repro_rt_phase_seconds"
+M_ROUND_TRIPS = declare("repro_channel_round_trips_total", "counter",
+                        "channel round trips by event kind", ("kind",))
+M_VALUES = declare("repro_channel_values_total", "counter",
+                   "scalar values carried per fragment (ILP)",
+                   ("fn", "label"))
+M_PAYLOAD_BYTES = declare("repro_channel_payload_bytes", "histogram",
+                          "modelled payload size per round trip", ("kind",),
+                          buckets=BYTE_BUCKETS)
+M_RTT_SIM_MS = declare("repro_channel_rtt_simulated_ms", "histogram",
+                       "simulated latency per round trip",
+                       buckets=SIM_MS_BUCKETS)
+M_SIM_MS = declare("repro_channel_simulated_ms_total", "counter",
+                   "total simulated channel time")
+M_BATCH_SIZE = declare("repro_channel_batch_size", "histogram",
+                       "messages coalesced per batch flush",
+                       buckets=BATCH_BUCKETS)
+M_COALESCED = declare("repro_channel_coalesced_total", "counter",
+                      "one-way messages coalesced into batch round trips",
+                      ("kind",))
+M_RT_PHASE = declare("repro_rt_phase_seconds", "histogram",
+                     "measured round-trip phase durations (--trace)",
+                     ("phase",), buckets=RT_PHASE_BUCKETS)
 
 #: the measured round-trip phases a traced remote run decomposes into
 #: (docs/OBSERVABILITY.md, "Distributed tracing & latency attribution")
@@ -205,11 +220,20 @@ class Channel:
         self.simulated_ms = 0.0
         self.coalesced_messages = 0
         self._pending = []
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        self._tracer = obs.get_tracer() if registry.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        registry = obs.active_registry()
+        self._registry = registry
+        self._tracer = obs.get_tracer()
+        self._recorder = obs.get_recorder()
+        if registry is not None:
+            family = registry.family
+            self._m_round_trips = family(M_ROUND_TRIPS)
+            self._m_values = family(M_VALUES)
+            self._m_payload = family(M_PAYLOAD_BYTES)
+            self._m_rtt = family(M_RTT_SIM_MS)
+            self._m_sim_ms = family(M_SIM_MS)
+            self._m_batch_size = family(M_BATCH_SIZE)
+            self._m_coalesced = family(M_COALESCED)
+            self._m_rt_phase = family(M_RT_PHASE)
 
     def defer(self, kind, hid, fn_name, label, sent):
         """Buffer a one-way message instead of charging a round trip.
@@ -290,97 +314,32 @@ class Channel:
 
     def _record_phase_metrics(self, phases):
         for phase in RT_PHASES:
-            self._registry.histogram(
-                M_RT_PHASE,
-                help="measured round-trip phase durations (--trace)",
-                buckets=RT_PHASE_BUCKETS,
-                phase=phase,
-            ).observe(phases[phase])
+            self._m_rt_phase.child(phase).observe(phases[phase])
+
+    def _count_round_trip(self, kind, payload, cost_ms):
+        """The per-round-trip metrics every kind shares, and the simulated
+        cost charged to the open tracer span."""
+        self._m_round_trips.child(kind).inc()
+        self._m_payload.child(kind).observe(payload)
+        self._m_rtt.child().observe(cost_ms)
+        self._m_sim_ms.child().inc(cost_ms)
+        self._tracer.add_sim_ms(cost_ms)
 
     def _record_metrics(self, kind, fn_name, label, sent, result, cost_ms):
-        registry = self._registry
         carried = len(sent) + (0 if result is None else 1)
-        payload = _HEADER_BYTES + _VALUE_BYTES * carried
-        label_str = "-" if label is None else str(label)
-        registry.counter(
-            M_ROUND_TRIPS, help="channel round trips by event kind", kind=kind
-        ).inc()
-        registry.counter(
-            M_VALUES,
-            help="scalar values carried per fragment (ILP)",
-            fn=fn_name or "-",
-            label=label_str,
+        self._m_values.child(
+            fn_name or "-", "-" if label is None else str(label)
         ).inc(carried)
-        registry.histogram(
-            M_PAYLOAD_BYTES,
-            help="modelled payload size per round trip",
-            buckets=BYTE_BUCKETS,
-            kind=kind,
-        ).observe(payload)
-        registry.histogram(
-            M_RTT_SIM_MS,
-            help="simulated latency per round trip",
-            buckets=SIM_MS_BUCKETS,
-        ).observe(cost_ms)
-        registry.counter(
-            M_SIM_MS, help="total simulated channel time"
-        ).inc(cost_ms)
-        tracer = self._tracer
-        tracer.emit(
-            "channel.round_trip",
-            sim_ms=cost_ms,
-            kind=kind,
-            fn=fn_name or "-",
-            label=label_str,
-            values=carried,
-            bytes=payload,
-        )
-        tracer.add_sim_ms(cost_ms)
+        self._count_round_trip(kind, _HEADER_BYTES + _VALUE_BYTES * carried,
+                               cost_ms)
 
     def _record_batch_metrics(self, pending, merged, cost_ms):
-        registry = self._registry
-        payload = _HEADER_BYTES + _VALUE_BYTES * len(merged)
-        registry.counter(
-            M_ROUND_TRIPS, help="channel round trips by event kind", kind="batch"
-        ).inc()
         for kind, _hid, fn_name, label, sent in pending:
-            registry.counter(
-                M_COALESCED,
-                help="one-way messages coalesced into batch round trips",
-                kind=kind,
-            ).inc()
+            self._m_coalesced.child(kind).inc()
             if sent:
-                registry.counter(
-                    M_VALUES,
-                    help="scalar values carried per fragment (ILP)",
-                    fn=fn_name or "-",
-                    label="-" if label is None else str(label),
+                self._m_values.child(
+                    fn_name or "-", "-" if label is None else str(label)
                 ).inc(len(sent))
-        registry.histogram(
-            M_BATCH_SIZE,
-            help="messages coalesced per batch flush",
-            buckets=BATCH_BUCKETS,
-        ).observe(len(pending))
-        registry.histogram(
-            M_PAYLOAD_BYTES,
-            help="modelled payload size per round trip",
-            buckets=BYTE_BUCKETS,
-            kind="batch",
-        ).observe(payload)
-        registry.histogram(
-            M_RTT_SIM_MS,
-            help="simulated latency per round trip",
-            buckets=SIM_MS_BUCKETS,
-        ).observe(cost_ms)
-        registry.counter(
-            M_SIM_MS, help="total simulated channel time"
-        ).inc(cost_ms)
-        tracer = self._tracer
-        tracer.emit(
-            "channel.batch",
-            sim_ms=cost_ms,
-            messages=len(pending),
-            values=len(merged),
-            bytes=payload,
-        )
-        tracer.add_sim_ms(cost_ms)
+        self._m_batch_size.child().observe(len(pending))
+        self._count_round_trip(
+            "batch", _HEADER_BYTES + _VALUE_BYTES * len(merged), cost_ms)

@@ -31,6 +31,7 @@ import time
 from repro import obs
 from repro.lang import ast
 from repro.obs import profile as _profile
+from repro.obs.metrics import declare
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.runtime.compile import (
     M_COMPILE_SECONDS,  # noqa: F401 (re-exported for tooling)
@@ -60,7 +61,9 @@ from repro.runtime.values import (
 
 #: deopt events (function/fragment fell back to the closure tier), labelled
 #: ``side`` (open|hidden) and ``reason`` (the classified cause below)
-M_DEOPT = "repro_codegen_deopt_total"
+M_DEOPT = declare("repro_codegen_deopt_total", "counter",
+                  "codegen deopt fallbacks to the closure tier",
+                  ("side", "reason"))
 
 #: ``reason`` label values on :data:`M_DEOPT` (docs/OBSERVABILITY.md)
 DEOPT_REFUSED = "refused"  # the generator deliberately declined a construct
@@ -110,12 +113,9 @@ def _classify_deopt(exc):
 
 
 def _count_deopt(side, reason):
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            M_DEOPT, help="codegen deopt fallbacks to the closure tier",
-            side=side, reason=reason,
-        ).inc()
+    registry = obs.active_registry()
+    if registry is not None:
+        registry.counter(M_DEOPT, side=side, reason=reason).inc()
 
 
 def _record_deopt(side, name, exc, line=None):
@@ -124,7 +124,7 @@ def _record_deopt(side, name, exc, line=None):
     reason = _classify_deopt(exc)
     _count_deopt(side, reason)
     recorder = obs.get_recorder()
-    if recorder.enabled:
+    if recorder is not None:
         recorder.deopt(side, name, reason,
                        "line %d" % line if line else "")
     return reason

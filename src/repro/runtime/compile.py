@@ -26,6 +26,7 @@ by ``repro_engine_total{engine=...,side=...}``.  See docs/ENGINE.md.
 import time
 
 from repro import obs
+from repro.obs.metrics import declare
 from repro.lang import ast
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.runtime.values import (
@@ -43,8 +44,12 @@ from repro.runtime.values import (
 )
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_COMPILE_SECONDS = "repro_engine_compile_seconds"
-M_ENGINE = "repro_engine_total"
+M_COMPILE_SECONDS = declare("repro_engine_compile_seconds", "histogram",
+                            "compilation wall seconds per function/fragment",
+                            ("side", "engine"))
+M_ENGINE = declare("repro_engine_total", "counter",
+                   "execution engine instantiations by side",
+                   ("engine", "side"))
 
 # The engine registry lives in repro/runtime/__init__.py (defined there
 # before any submodule import, so this works during package init); the
@@ -57,12 +62,9 @@ _MISSING = object()
 
 def count_engine(side, engine):
     """Count one engine instantiation in ``repro_engine_total``."""
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(
-            M_ENGINE, help="execution engine instantiations by side",
-            engine=engine, side=side,
-        ).inc()
+    registry = obs.active_registry()
+    if registry is not None:
+        registry.counter(M_ENGINE, engine=engine, side=side).inc()
 
 
 def _observe_compile(side, seconds, engine="compiled"):
@@ -71,14 +73,10 @@ def _observe_compile(side, seconds, engine="compiled"):
     Labelled by ``side`` *and* ``engine`` so the closure tier's and the
     codegen tier's compilation costs stay distinguishable in
     ``/metrics.json`` and ``repro stats`` (docs/ENGINE.md)."""
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.histogram(
-            M_COMPILE_SECONDS,
-            help="compilation wall seconds per function/fragment",
-            side=side,
-            engine=engine,
-        ).observe(seconds)
+    registry = obs.active_registry()
+    if registry is not None:
+        registry.histogram(M_COMPILE_SECONDS, side=side,
+                           engine=engine).observe(seconds)
 
 
 # -- control flow shared by both engines ---------------------------------------

@@ -16,6 +16,7 @@ from repro import obs
 from repro.lang import ast
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 from repro.obs import profile as _profile
+from repro.obs.metrics import declare
 # _Return/_Break/_Continue are shared with the compiled engine so control
 # flow crosses engine boundaries; StepLimitExceeded is re-exported here for
 # backward compatibility (it lives in values.py).
@@ -43,9 +44,12 @@ from repro.runtime.values import (  # noqa: F401 (StepLimitExceeded re-exported)
 
 HIDDEN_BUILTINS = ("hopen", "hcall", "hclose")
 
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_STEPS = "repro_steps_total"
-M_STMTS = "repro_stmt_executions_total"
+#: exported metric names (documented in docs/OBSERVABILITY.md), shared
+#: with the hidden server: ``side`` is ``open`` or ``hidden``
+M_STEPS = declare("repro_steps_total", "counter",
+                  "statements executed by side", ("side",))
+M_STMTS = declare("repro_stmt_executions_total", "counter",
+                  "statement executions by AST kind", ("side", "kind"))
 
 
 class Env:
@@ -129,9 +133,8 @@ class Interpreter:
         self.call_depth = 0
         self.steps = 0
         self.output = []
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        self._stmt_counts = {} if registry.enabled else None
+        registry = self._registry = obs.active_registry()
+        self._stmt_counts = {} if registry is not None else None
         self._steps_flushed = 0
         self.globals = {}
         for g in program.globals:
@@ -160,7 +163,7 @@ class Interpreter:
             OpenCodegen(
                 self._functions, self._methods, self._classes,
                 globals_names=frozenset(self.globals),
-                counting=registry.enabled,
+                counting=registry is not None,
             )
             if self.engine == "codegen"
             else None
@@ -204,15 +207,12 @@ class Interpreter:
         registry = self._registry
         if registry is None:
             return
+        stmts = registry.family(M_STMTS)
         for kind, count in self._stmt_counts.items():
-            registry.counter(
-                M_STMTS, help="statement executions by AST kind",
-                side="open", kind=kind,
-            ).inc(count)
+            stmts.child("open", kind).inc(count)
         self._stmt_counts.clear()
-        registry.counter(
-            M_STEPS, help="statements executed by side", side="open"
-        ).inc(self.steps - self._steps_flushed)
+        registry.family(M_STEPS).child("open").inc(
+            self.steps - self._steps_flushed)
         self._steps_flushed = self.steps
 
     def call_function(self, fn, args, receiver=None):

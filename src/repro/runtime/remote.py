@@ -36,7 +36,7 @@ import threading
 import time
 
 from repro import obs
-from repro.obs.metrics import RT_PHASE_BUCKETS
+from repro.obs.metrics import RT_PHASE_BUCKETS, declare
 from repro.runtime.cache import CacheQuota, FragmentCache
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime import DEFAULT_ENGINE
@@ -57,12 +57,20 @@ PROTOCOL_VERSION = 4
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
-M_CLIENTS = "repro_remote_clients"
-M_SESSIONS = "repro_remote_sessions_total"
-M_SESSION_ERRORS = "repro_remote_session_errors_total"
-M_REJECTED = "repro_remote_rejected_total"
-M_OPS = "repro_remote_ops_total"
-M_EXEC_SECONDS = "repro_remote_exec_seconds"
+M_CLIENTS = declare("repro_remote_clients", "gauge",
+                    "currently connected client sessions", ("program",))
+M_SESSIONS = declare("repro_remote_sessions_total", "counter",
+                     "client sessions accepted since start", ("program",))
+M_SESSION_ERRORS = declare("repro_remote_session_errors_total", "counter",
+                           "sessions ended by transport errors or timeouts",
+                           ("reason",))
+M_REJECTED = declare("repro_remote_rejected_total", "counter",
+                     "connections refused before handshake", ("reason",))
+M_OPS = declare("repro_remote_ops_total", "counter",
+                "protocol ops served, by program", ("program",))
+M_EXEC_SECONDS = declare("repro_remote_exec_seconds", "histogram",
+                         "server-side execution seconds per protocol op",
+                         ("program",), buckets=RT_PHASE_BUCKETS)
 
 
 class ChannelError(RuntimeErr):
@@ -310,10 +318,8 @@ class HiddenComponentServer:
         self._draining = threading.Event()
         self._sessions = set()
         self._sessions_lock = threading.Lock()
-        metrics = obs.get_registry()
-        self._metrics = metrics if metrics.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._metrics = obs.active_registry()
+        self._recorder = obs.get_recorder()
         # clock-sync fallback epoch when no flight recorder is active: the
         # trace handshake still answers with a consistent local timebase
         self._t0 = time.perf_counter()
@@ -422,10 +428,7 @@ class HiddenComponentServer:
         frame is marked retryable so a policy-driven client backs off and
         tries again instead of failing the run."""
         if self._metrics is not None:
-            self._metrics.counter(
-                M_REJECTED, help="connections refused before handshake",
-                reason="limit",
-            ).inc()
+            self._metrics.counter(M_REJECTED, reason="limit").inc()
         with contextlib.suppress(OSError):
             wfile = conn.makefile("wb")
             _send(wfile, {"error": message, "retry": True})
@@ -434,11 +437,7 @@ class HiddenComponentServer:
 
     def _count_session_error(self, reason):
         if self._metrics is not None:
-            self._metrics.counter(
-                M_SESSION_ERRORS,
-                help="sessions ended by transport errors or timeouts",
-                reason=reason,
-            ).inc()
+            self._metrics.counter(M_SESSION_ERRORS, reason=reason).inc()
 
     def shutdown(self):
         """Immediate stop: close the listener; session threads are daemonic
@@ -482,6 +481,8 @@ class _ClientSession:
         self.batching = False
         self.cache = False
         self._used = False
+        # metric children, bound with the tenant (telemetry on only)
+        self._m_clients = self._m_ops = self._m_exec = None
         self._in_flight = False
         self._lock = threading.Lock()
 
@@ -516,11 +517,8 @@ class _ClientSession:
             if self.inner is not None and self.inner.cache is not None:
                 server._fold_cache_stats(self.tenant.name, self.inner.cache)
                 self.inner.cache.release_all()
-            if self.tenant is not None and server._metrics is not None:
-                server._metrics.gauge(
-                    M_CLIENTS, help="currently connected client sessions",
-                    program=self.tenant.name,
-                ).dec()
+            if self._m_clients is not None:
+                self._m_clients.dec()
             with contextlib.suppress(OSError):
                 conn.close()
             server._session_done(self)
@@ -540,15 +538,14 @@ class _ClientSession:
         metrics = self.server._metrics
         if metrics is None or self.tenant is None:
             return
-        program = self.tenant.name
-        metrics.counter(
-            M_OPS, help="protocol ops served, by program", program=program,
-        ).inc()
-        metrics.histogram(
-            M_EXEC_SECONDS,
-            help="server-side execution seconds per protocol op",
-            buckets=RT_PHASE_BUCKETS, program=program,
-        ).observe(exec_s)
+        ops = self._m_ops
+        if ops is None:
+            # bound at the session's first counted op: the binding is final
+            program = self.tenant.name
+            ops = self._m_ops = metrics.counter(M_OPS, program=program)
+            self._m_exec = metrics.histogram(M_EXEC_SECONDS, program=program)
+        ops.inc()
+        self._m_exec.observe(exec_s)
 
     def _loop(self, rfile, wfile):
         server = self.server
@@ -633,14 +630,9 @@ class _ClientSession:
         if metrics is not None:
             # live scrape support (--expo-port): how many client sessions
             # each program has right now, and how many there have been
-            metrics.gauge(
-                M_CLIENTS, help="currently connected client sessions",
-                program=tenant.name,
-            ).inc()
-            metrics.counter(
-                M_SESSIONS, help="client sessions accepted since start",
-                program=tenant.name,
-            ).inc()
+            self._m_clients = metrics.gauge(M_CLIENTS, program=tenant.name)
+            self._m_clients.inc()
+            metrics.counter(M_SESSIONS, program=tenant.name).inc()
 
     def _apply_cache(self):
         """Create (or drop) the inner server's session cache to match the
@@ -900,7 +892,7 @@ def _negotiate(rfile, wfile, hello, handshake):
     answers without ``epoch_us`` leaves the clocks unaligned."""
     trace = hello.get("trace")
     recorder = obs.get_recorder()
-    clock = recorder.now_us if recorder.enabled else None
+    clock = recorder.now_us if recorder is not None else None
     frame = {"op": "hello", **hello}
     if trace is not None:
         send_us = clock() if clock is not None else 0.0
@@ -979,8 +971,7 @@ class RemoteHiddenRuntime:
         self._tseq = 1  # traced, cseq 1 is the hello (open_session)
         self._outbox = []
         self._hid_fn = {}  # hid -> fn_id, to look up deferrable labels
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        self._recorder = obs.get_recorder()
         session = open_session(address, self.policy, {
             "program": program, "batching": batching, "cache": self.cache,
             "trace": {"id": self.trace_id} if self.trace else None,

@@ -19,7 +19,7 @@ import threading
 import time
 
 from repro import obs
-from repro.obs.metrics import STEP_BUCKETS
+from repro.obs.metrics import STEP_BUCKETS, declare
 from repro.obs import profile as _profile
 from repro.lang import ast
 from repro.core.hidden import FragmentKind
@@ -37,6 +37,7 @@ from repro.runtime.compile import (
     validate_engine,
 )
 from repro.runtime.codegen import codegen_fragment
+from repro.runtime.interpreter import M_STEPS, M_STMTS
 from repro.runtime.values import (
     RuntimeErr,
     binary_op,
@@ -46,12 +47,15 @@ from repro.runtime.values import (
 )
 from repro.lang.typecheck import BUILTIN_SIGNATURES
 
-#: exported metric names (documented in docs/OBSERVABILITY.md)
-M_ACTIVATIONS = "repro_server_activations_total"
-M_CALLS = "repro_server_calls_total"
-M_FRAGMENT_STEPS = "repro_server_fragment_steps"
-M_STEPS = "repro_steps_total"
-M_STMTS = "repro_stmt_executions_total"
+#: exported metric names (documented in docs/OBSERVABILITY.md); the
+#: per-side step and statement counters are the interpreter's
+M_ACTIVATIONS = declare("repro_server_activations_total", "counter",
+                        "activation lifecycle events", ("event",))
+M_CALLS = declare("repro_server_calls_total", "counter",
+                  "fragment executions per ILP", ("fn", "label"))
+M_FRAGMENT_STEPS = declare("repro_server_fragment_steps", "histogram",
+                           "hidden statements executed per fragment call",
+                           ("fn", "label"), buckets=STEP_BUCKETS)
 
 #: batch-cache miss sentinel (prefetched values may legitimately be falsy)
 _MISSING = object()
@@ -271,10 +275,14 @@ class HiddenServer:
         self.engine = validate_engine(engine)
         self.cache = FragmentCache(program=tenant.name) if cache else None
         count_engine("hidden", self.engine)
-        registry = obs.get_registry()
-        self._registry = registry if registry.enabled else None
-        recorder = obs.get_recorder()
-        self._recorder = recorder if recorder.enabled else None
+        registry = self._registry = obs.active_registry()
+        self._recorder = obs.get_recorder()
+        if registry is not None:
+            self._m_activations = registry.family(M_ACTIVATIONS)
+            self._m_calls = registry.family(M_CALLS)
+            self._m_fragment_steps = registry.family(M_FRAGMENT_STEPS)
+            self._m_steps = registry.family(M_STEPS)
+            self._m_stmts = registry.family(M_STMTS)
 
     # -- activation management -------------------------------------------------
 
@@ -288,9 +296,7 @@ class HiddenServer:
         receiver_oid = receiver.oid if receiver is not None else None
         self.activations[hid] = Activation(hid, fn_id, fn_name, receiver_oid)
         if self._registry is not None:
-            self._registry.counter(
-                M_ACTIVATIONS, help="activation lifecycle events", event="open"
-            ).inc()
+            self._m_activations.child("open").inc()
         self.channel.round_trip("open", hid, fn_name, None, (fn_id,), hid)
         return hid
 
@@ -298,10 +304,7 @@ class HiddenServer:
         activation = self.activations.pop(hid, None)
         if activation is not None:
             if self._registry is not None:
-                self._registry.counter(
-                    M_ACTIVATIONS, help="activation lifecycle events",
-                    event="close",
-                ).inc()
+                self._m_activations.child("close").inc()
             if self.batching:
                 # hclose returns nothing: a pure send, safe to coalesce
                 self.channel.defer("close", hid, activation.fn_name, None, ())
@@ -522,26 +525,14 @@ class HiddenServer:
     def _account(self, fn_name, label, stmt_counts, steps, wall_t0):
         """One call's metrics and flight-recorder event, alike for a real
         execution (an aborted one too) and a cache replay."""
-        registry = self._registry
-        if registry is not None:
+        if self._registry is not None:
             label_str = str(label)
-            registry.counter(
-                M_CALLS, help="fragment executions per ILP",
-                fn=fn_name, label=label_str,
-            ).inc()
-            registry.histogram(
-                M_FRAGMENT_STEPS,
-                help="hidden statements executed per fragment call",
-                buckets=STEP_BUCKETS, fn=fn_name, label=label_str,
-            ).observe(steps)
-            registry.counter(
-                M_STEPS, help="statements executed by side", side="hidden"
-            ).inc(steps)
+            self._m_calls.child(fn_name, label_str).inc()
+            self._m_fragment_steps.child(fn_name, label_str).observe(steps)
+            self._m_steps.child("hidden").inc(steps)
+            stmts = self._m_stmts
             for kind, count in stmt_counts.items():
-                registry.counter(
-                    M_STMTS, help="statement executions by AST kind",
-                    side="hidden", kind=kind,
-                ).inc(count)
+                stmts.child("hidden", kind).inc(count)
         if self._recorder is not None:
             self._recorder.fragment(
                 fn_name, str(label), steps,

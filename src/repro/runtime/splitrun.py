@@ -14,6 +14,7 @@ Absolute numbers are arbitrary; the *ratio* after/before — the paper's
 """
 
 from repro import obs
+from repro.obs.metrics import declare
 from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.interpreter import Interpreter
@@ -21,7 +22,8 @@ from repro.runtime.server import Tenant
 from repro.runtime.values import RuntimeErr
 
 #: exported metric name (documented in docs/OBSERVABILITY.md)
-M_RUNS = "repro_runs_total"
+M_RUNS = declare("repro_runs_total", "counter", "program executions",
+                 ("mode",))
 
 #: Interpreted-statement cost on the open machine, in microseconds.
 DEFAULT_STMT_COST_US = 1.0
@@ -67,12 +69,12 @@ class RunResult:
 def run_original(program, entry="main", args=(), max_steps=20_000_000,
                  engine=DEFAULT_ENGINE):
     """Execute the original (unsplit) program."""
-    with obs.get_tracer().span("run.original", entry=entry):
+    with obs.span("run.original", entry=entry):
         interp = Interpreter(program, max_steps=max_steps, engine=engine)
         value = interp.run(entry, args)
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(M_RUNS, help="program executions", mode="original").inc()
+    registry = obs.active_registry()
+    if registry is not None:
+        registry.counter(M_RUNS, mode="original").inc()
     return RunResult(value, interp.output, interp.steps)
 
 
@@ -93,7 +95,7 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
 
     ``engine`` selects the execution strategy on *both* sides
     (docs/ENGINE.md); the engines are observably bit-identical."""
-    with obs.get_tracer().span("run.split", entry=entry):
+    with obs.span("run.split", entry=entry):
         channel = Channel(latency or LatencyModel.lan(), record=record)
         # a fresh tenant per run: nothing derived is shared across runs
         server = Tenant.from_program("default", split_program).new_server(
@@ -110,9 +112,9 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
             # transcript, metrics, and flight recorder stay consistent with
             # what actually crossed the channel
             channel.flush_deferred()
-    registry = obs.get_registry()
-    if registry.enabled:
-        registry.counter(M_RUNS, help="program executions", mode="split").inc()
+    registry = obs.active_registry()
+    if registry is not None:
+        registry.counter(M_RUNS, mode="split").inc()
     return RunResult(value, interp.output, interp.steps, server.steps, channel)
 
 

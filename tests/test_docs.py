@@ -38,3 +38,30 @@ def test_checker_flags_stale_metric(tmp_path):
         doc, doc.read_text(), {"repro_channel_round_trips_total"}, errors
     )
     assert len(errors) == 1 and "repro_totally_made_up_total" in errors[0]
+
+
+def test_checker_flags_metric_table_mismatch(tmp_path):
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(
+        "| Metric | Type | Labels | Meaning |\n"
+        "| --- | --- | --- | --- |\n"
+        "| `repro_a_total` | counter | `kind` | right |\n"
+        "| `repro_b_seconds` | counter | `side` | wrong kind, label missing |\n"
+    )
+    declared = {
+        "repro_a_total": ("counter", ("kind",)),
+        "repro_b_seconds": ("histogram", ("side", "engine")),
+        "repro_c": ("gauge", ()),
+    }
+    errors = []
+    check_docs.check_metric_table(doc, doc.read_text(), declared, errors)
+    assert len(errors) == 2
+    assert "repro_b_seconds" in errors[0] and "histogram" in errors[0]
+    assert "repro_c" in errors[1] and "no table row" in errors[1]
+
+
+def test_checker_reads_declarations():
+    declared = check_docs.declared_metrics()
+    assert declared["repro_engine_compile_seconds"] == (
+        "histogram", ("side", "engine"))
+    assert declared["repro_channel_simulated_ms_total"] == ("counter", ())

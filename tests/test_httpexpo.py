@@ -217,13 +217,9 @@ def test_metrics_json_includes_recorder_block():
 
 
 def test_export_omits_recorder_block_when_absent():
-    from repro.obs.events import NULL_RECORDER
-
     registry = Registry()
-    doc = json.loads(export.to_json(registry, None, None))
-    assert "recorder" not in doc
-    # a disabled recorder must not fabricate an all-zero block either
-    doc = json.loads(export.to_json(registry, None, NULL_RECORDER))
+    # no recorder (telemetry's "off" is None) means no all-zero block
+    doc = json.loads(export.to_json(registry, None, obs.get_recorder()))
     assert "recorder" not in doc
 
 

@@ -7,13 +7,8 @@ import pytest
 
 from repro import obs
 from repro.obs import export
-from repro.obs.metrics import (
-    NULL_METRIC,
-    NULL_REGISTRY,
-    Histogram,
-    Registry,
-)
-from repro.obs.tracing import NULL_TRACER, Tracer
+from repro.obs.metrics import Histogram, Registry, declare
+from repro.obs.tracing import Tracer
 
 from repro.lang import check_program, parse_program
 from repro.core.pipeline import auto_split
@@ -81,6 +76,42 @@ def test_metric_kind_conflict_rejected():
         reg.gauge("m")
 
 
+def test_one_name_holds_one_kind_and_one_grid_across_label_sets():
+    # a second label set must not smuggle in a second kind or bucket grid:
+    # the exposition would print one # TYPE over samples of two kinds
+    reg = Registry()
+    reg.counter("repro_x", k="1")
+    with pytest.raises(TypeError):
+        reg.histogram("repro_x", k="2")
+    reg.histogram("repro_h", buckets=(1, 2), k="1")
+    with pytest.raises(TypeError):
+        reg.histogram("repro_h", buckets=(1, 5), k="2")
+    # omitting the grid takes the one the first registration fixed
+    assert reg.histogram("repro_h", k="3").buckets == (1, 2)
+    text = export.to_prometheus(reg)
+    assert text.count("# TYPE repro_x ") == 1
+    assert "repro_x_bucket" not in text
+
+
+def test_declared_metric_fixes_kind_help_buckets_and_labels(monkeypatch):
+    monkeypatch.setattr("repro.obs.metrics.DECLARED", {})
+    name = declare("test_declared_seconds", "histogram", "declared once",
+                   ("side",), buckets=(1, 2))
+    reg = Registry()
+    h = reg.histogram(name, side="open")
+    assert h.buckets == (1, 2)
+    assert reg.help_text(name) == "declared once"
+    assert reg.family(name).child("open") is h
+    with pytest.raises(TypeError):
+        reg.counter(name, side="open")
+    with pytest.raises(TypeError):
+        reg.histogram(name, buckets=(5,), side="hidden")
+    with pytest.raises(TypeError):
+        reg.histogram(name, kind="x")
+    with pytest.raises(ValueError):
+        declare(name, "counter", "twice")
+
+
 def test_histogram_buckets_and_mean():
     reg = Registry()
     h = reg.histogram("h", buckets=(1, 10, 100))
@@ -106,7 +137,6 @@ def test_histogram_quantile_interpolation():
     assert h.quantile(1.0) == pytest.approx(40.0)
     with pytest.raises(ValueError):
         h.quantile(1.5)
-    assert NULL_METRIC.quantile(0.5) == 0.0
 
 
 def test_json_exposition_includes_quantiles():
@@ -128,14 +158,51 @@ def test_json_exposition_includes_quantiles():
     assert "quantile" not in export.to_prometheus(reg)
 
 
-def test_null_registry_is_allocation_free():
-    assert not NULL_REGISTRY.enabled
-    assert NULL_REGISTRY.counter("x", kind="y") is NULL_METRIC
-    assert NULL_REGISTRY.histogram("h") is NULL_METRIC
-    NULL_METRIC.inc()
-    NULL_METRIC.observe(3)
-    assert NULL_REGISTRY.collect() == []
-    assert NULL_REGISTRY.total("x") == 0
+def test_telemetry_is_none_when_off():
+    assert obs.active_registry() is None
+    assert obs.get_tracer() is None
+    assert obs.get_recorder() is None
+    obs.install()
+    try:
+        assert obs.active_registry() is not None
+        assert obs.get_registry() is obs.active_registry()
+        assert obs.get_tracer() is not None
+    finally:
+        obs.uninstall()
+    assert obs.active_registry() is None
+    assert obs.get_tracer() is None
+    assert obs.get_recorder() is None
+
+
+def test_get_registry_when_off_drops_what_is_recorded():
+    # code outside the library may record without checking for telemetry
+    obs.get_registry().histogram("outside_seconds", help="h").observe(1.0)
+    obs.get_registry().counter("outside_seconds").inc()
+    assert len(obs.get_registry()) == 0
+    with obs.telemetry() as (reg, _tracer):
+        assert obs.get_registry() is reg
+    assert "outside_seconds" not in reg.names()
+
+
+def test_perfbench_fragment_timer_works_with_telemetry_on_and_off(monkeypatch):
+    import importlib.util
+    import os
+
+    from repro.runtime.server import HiddenServer
+
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "probes.py")
+    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+    probes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probes)
+    monkeypatch.setattr(HiddenServer, "_execute", HiddenServer._execute)
+    probes.time_fragments()
+    _, sp = _split()
+    assert run_split(sp, args=(4,)).interactions > 0
+    with obs.telemetry() as (reg, _tracer):
+        run_split(sp, args=(4,))
+    timed = reg.histogram(probes.FRAGMENT_SECONDS)
+    assert timed.count == reg.total("repro_server_calls_total") > 0
 
 
 # -- tracing -----------------------------------------------------------------
@@ -154,22 +221,11 @@ def test_tracer_nested_spans_and_sim_time():
     assert summary["outer"]["wall_s"] >= summary["inner"]["wall_s"]
 
 
-def test_tracer_emit_and_cap():
-    tracer = Tracer(max_spans=2)
-    for i in range(5):
-        tracer.emit("evt", sim_ms=1.0, i=i)
-    assert len(tracer.spans) == 2
-    assert tracer.dropped == 3
-    assert tracer.summary()["evt"]["count"] == 5
-    assert tracer.summary()["evt"]["sim_ms"] == pytest.approx(5.0)
-
-
 def test_tracer_records_phase_histogram():
     reg = Registry()
     tracer = Tracer(registry=reg)
     with tracer.span("slice"):
         pass
-    tracer.emit("channel.round_trip")  # events are not phases
     phases = [
         m for m in reg.collect() if m.name == "repro_phase_seconds"
     ]
@@ -177,27 +233,28 @@ def test_tracer_records_phase_histogram():
     assert phases[0].count == 1
 
 
-def test_null_tracer_noops():
-    with NULL_TRACER.span("x") as s:
+def test_span_is_a_noop_when_off():
+    with obs.span("x", fn="f") as s:
         assert s is None
-    NULL_TRACER.add_sim_ms(5)
-    assert NULL_TRACER.summary() == {}
+    with obs.telemetry() as (_reg, tracer):
+        with obs.span("x", fn="f") as s:
+            assert s.attrs == {"fn": "f"}
+    assert tracer.summary()["x"]["count"] == 1
 
 
 # -- global switch -----------------------------------------------------------
 
 
 def test_telemetry_scoping_restores_previous():
-    assert not obs.enabled()
+    assert obs.active_registry() is None
     with obs.telemetry() as (reg, tracer):
-        assert obs.enabled()
         assert obs.get_registry() is reg
         assert obs.get_tracer() is tracer
         with obs.telemetry() as (inner, _):
             assert obs.get_registry() is inner
         assert obs.get_registry() is reg
-    assert not obs.enabled()
-    assert obs.get_registry() is NULL_REGISTRY
+    assert obs.active_registry() is None
+    assert obs.get_tracer() is None
 
 
 # -- instrumented runtime ----------------------------------------------------
@@ -235,10 +292,39 @@ def test_run_split_populates_registry():
 
 def test_disabled_telemetry_records_nothing():
     _, sp = _split()
-    before = len(obs.get_registry().collect())
     result = run_split(sp, args=(4,))
     assert result.interactions > 0
-    assert len(obs.get_registry().collect()) == before == 0
+    assert obs.active_registry() is None
+    assert result.channel._registry is None
+
+
+def _registry_lookups(monkeypatch, n):
+    """``Registry._get`` calls of one in-process run of the ledger's wire
+    workload with every telemetry layer and runtime feature on."""
+    from repro.bench.ledger import WIRE_SRC
+    from repro.obs.events import FlightRecorder
+
+    program = parse_program(WIRE_SRC)
+    sp = split_program(program, check_program(program), [("f", "a")])
+    calls = []
+    real_get = Registry._get
+
+    def counting_get(self, *args):
+        calls.append(args[1])
+        return real_get(self, *args)
+
+    monkeypatch.setattr(Registry, "_get", counting_get)
+    with obs.telemetry(recorder=FlightRecorder()):
+        result = run_split(sp, args=(n,), batching=True, cache=True)
+    assert result.interactions > n
+    return len(calls)
+
+
+def test_round_trips_bind_metrics_once(monkeypatch):
+    # steady-state round trips update bound children: doubling the work
+    # must not add a single registry lookup
+    assert _registry_lookups(monkeypatch, 3000) == _registry_lookups(
+        monkeypatch, 6000)
 
 
 def test_auto_split_phase_spans():

@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.obs.events import (
     EVENT_FORMATS,
-    NULL_RECORDER,
     FlightRecorder,
     to_chrome,
     to_jsonl,
@@ -87,24 +86,32 @@ def test_bounded_buffer_evicts_oldest():
     assert [e["label"] for e in rec.events] == ["6", "7", "8", "9"]
 
 
-def test_null_recorder_noops():
-    assert not NULL_RECORDER.enabled
-    assert NULL_RECORDER.channel("call", "f", "0", 1, 24, 0.1) is None
-    assert NULL_RECORDER.span_open("x", 0) is None
-    assert len(NULL_RECORDER) == 0
-    assert NULL_RECORDER.by_type("channel") == []
+def test_recorder_is_none_when_off():
+    assert obs.get_recorder() is None
+    rec = FlightRecorder()
+    obs.install(recorder=rec)
+    try:
+        assert obs.get_recorder() is rec
+    finally:
+        obs.uninstall()
+    assert obs.get_recorder() is None
+    # evictions outside a telemetry scope are counted on the recorder alone
+    small = FlightRecorder(max_events=1)
+    small.fragment("f", "0", 1)
+    small.fragment("f", "1", 1)
+    assert small.evicted == 1
 
 
 def test_telemetry_scoping_restores_recorder():
-    assert obs.get_recorder() is NULL_RECORDER
+    assert obs.get_recorder() is None
     rec = FlightRecorder()
     with obs.telemetry(recorder=rec):
         assert obs.get_recorder() is rec
         # a nested session without a recorder must not inherit this one
         with obs.telemetry():
-            assert obs.get_recorder() is NULL_RECORDER
+            assert obs.get_recorder() is None
         assert obs.get_recorder() is rec
-    assert obs.get_recorder() is NULL_RECORDER
+    assert obs.get_recorder() is None
 
 
 # -- schema (golden) ---------------------------------------------------------
@@ -144,8 +151,9 @@ def test_fragment_events_carry_step_counts():
 
 def test_disabled_telemetry_records_no_events():
     sp = _split()
-    run_split(sp, args=(4,), latency=LatencyModel.instant())
-    assert len(obs.get_recorder()) == 0
+    result = run_split(sp, args=(4,), latency=LatencyModel.instant())
+    assert obs.get_recorder() is None
+    assert result.channel._recorder is None
 
 
 # -- serialisation -----------------------------------------------------------

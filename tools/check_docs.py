@@ -7,8 +7,11 @@ Two failure modes that rot silently:
    the top-level ``*.md``) pointing at files that do not exist, including
    broken anchors of the form ``FILE.md#section``.
 2. **Stale metric names** — docs citing a ``repro_*`` metric that no
-   ``M_* = "repro_..."`` constant in ``src/`` defines any more (the
-   metric names are a stable interface; see docs/OBSERVABILITY.md).
+   ``declare("repro_...", ...)`` call in ``src/`` declares any more (the
+   metric names are a stable interface; see docs/OBSERVABILITY.md), and
+   a metric table in docs/OBSERVABILITY.md that disagrees with the
+   declarations: every declared metric needs a row whose type and label
+   set equal its declaration's.
 3. **Stale CLI surface** — docs/OBSERVABILITY.md, docs/OPERATIONS.md or
    docs/CACHING.md citing an HTTP endpoint the exposition server does not route
    (``ROUTES`` in ``src/repro/obs/httpexpo.py``) or a ``--flag`` no
@@ -23,6 +26,7 @@ dependencies beyond the standard library, so it runs anywhere::
     python tools/check_docs.py
 """
 
+import ast
 import pathlib
 import re
 import sys
@@ -31,14 +35,17 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: [text](target) — excluding images and absolute URLs
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)#\s]+)(#[A-Za-z0-9_.-]*)?\)")
-#: exported metric constants: M_FOO = "repro_..." (plus the odd
-#: non-M_-prefixed one like PHASE_SECONDS)
-_METRIC_DEF = re.compile(r'^[A-Z][A-Z0-9_]*\s*=\s*"(repro_[a-z0-9_]+)"',
-                         re.MULTILINE)
+#: a row of docs/OBSERVABILITY.md's metric table: name, type, labels
+_TABLE_ROW = re.compile(r"^\| `(repro_[a-z0-9_]+)` \| ([a-z]+) \| ([^|]*) \|",
+                        re.MULTILINE)
 #: metric mentions in docs (prometheus names; histogram suffixes stripped)
 _METRIC_USE = re.compile(r"\brepro_[a-z0-9_]+\b")
 #: suffixes the prometheus exposition appends to histogram names
 _EXPO_SUFFIXES = ("_bucket", "_sum", "_count")
+#: the root documents that describe this code; with docs/ they are held
+#: to the declared metric names (other root files quote outside text)
+_CODE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
+              "CHANGES.md")
 #: backticked endpoint paths in docs (`/metrics`, `/healthz`, ...)
 _ENDPOINT_USE = re.compile(r"`(/[a-z][a-z.]*)`")
 #: route literals in the exposition server source
@@ -72,11 +79,26 @@ def doc_files():
     return files
 
 
+def declared_metrics():
+    """``{name: (kind, label names)}`` of every literal
+    ``declare(name, kind, help, labels, ...)`` call under ``src/``."""
+    declared = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "declare"):
+                continue
+            args = list(node.args)
+            args += [k.value for k in node.keywords if k.arg == "labels"]
+            name, kind = (ast.literal_eval(a) for a in args[:2])
+            labels = ast.literal_eval(args[3]) if len(args) > 3 else ()
+            declared[name] = (kind, tuple(labels))
+    return declared
+
+
 def defined_metrics():
-    names = set()
-    for path in (REPO / "src").rglob("*.py"):
-        names.update(_METRIC_DEF.findall(path.read_text(encoding="utf-8")))
-    return names
+    return set(declared_metrics())
 
 
 def check_links(path, text, errors):
@@ -105,9 +127,28 @@ def check_metrics(path, text, known, errors):
             if base.endswith("_") and any(k.startswith(base) for k in known):
                 continue
             errors.append(
-                "%s: stale metric name %r (no M_* constant defines it)"
+                "%s: stale metric name %r (no declare() call declares it)"
                 % (_rel(path), name)
             )
+
+
+def check_metric_table(path, text, declared, errors):
+    """Every declared metric has a table row, and the row's type and
+    label set are the declaration's."""
+    rows = {
+        name: (kind, sorted(re.findall(r"`([a-z_]+)`", labels)))
+        for name, kind, labels in _TABLE_ROW.findall(text)
+    }
+    for name, (kind, labels) in sorted(declared.items()):
+        row = rows.get(name)
+        if row is None:
+            errors.append("%s: declared metric %r has no table row"
+                          % (_rel(path), name))
+        elif row != (kind, sorted(labels)):
+            errors.append(
+                "%s: table row %r says %s {%s}, its declaration %s {%s}"
+                % (_rel(path), name, row[0], ", ".join(row[1]), kind,
+                   ", ".join(sorted(labels))))
 
 
 def defined_routes():
@@ -180,10 +221,11 @@ def check_cli_surface(path, text, routes, flags, errors, repro_lines_only=False)
 
 
 def main():
-    known = defined_metrics()
+    declared = declared_metrics()
+    known = set(declared)
     if not known:
-        print("check_docs: found no M_* metric constants under src/ — "
-              "the definition regex is broken", file=sys.stderr)
+        print("check_docs: found no declare() calls under src/ — "
+              "the declaration scan is broken", file=sys.stderr)
         return 1
     routes = defined_routes()
     flags = defined_flags()
@@ -197,7 +239,10 @@ def main():
     for path in doc_files():
         text = path.read_text(encoding="utf-8")
         check_links(path, text, errors)
-        check_metrics(path, text, known, errors)
+        if path.parent != REPO or path.name in _CODE_DOCS:
+            check_metrics(path, text, known, errors)
+        if path.name == "OBSERVABILITY.md":
+            check_metric_table(path, text, declared, errors)
         check_engines(path, text, engines, errors)
         if path.name != "ROADMAP.md":  # the roadmap names future surface
             check_subcommands(path, text, subcommands, errors)
