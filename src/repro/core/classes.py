@@ -27,8 +27,7 @@ Implementation notes:
 from repro.lang import ast
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.function import analyze_function
-from repro.core.globals import _rebuild_program
-from repro.core.program import SplitProgram
+from repro.core.program import assemble_split
 from repro.core.splitter import (
     SplitError,
     SplitOptions,
@@ -107,13 +106,12 @@ def split_class(program, checker, class_name, field_names=None, options=None):
     recursive = cg.recursive_functions()
 
     splits = {}
-    fn_ids = {}
-    fn_id = 0
     for method in cls.methods:
         if not _references_any(method, hidden):
             continue
         analysis = analyze_function(method, checker)
         qualified = method.qualified_name
+        fn_id = len(splits)
         defined = _defined_fields(method, hidden)
         eligible = qualified not in recursive and defined
         if eligible:
@@ -132,8 +130,6 @@ def split_class(program, checker, class_name, field_names=None, options=None):
                 storage_class="field",
             )
         splits[qualified] = split
-        fn_ids[qualified] = fn_id
-        fn_id += 1
 
     if not splits:
         raise SplitError("no method of %s references the hidden fields" % class_name)
@@ -141,13 +137,6 @@ def split_class(program, checker, class_name, field_names=None, options=None):
     defaults = {
         f.name: default_value(f.field_type) for f in cls.fields if f.name in hidden
     }
-    transformed = _rebuild_program(
-        program, splits, drop_fields={class_name: hidden}
-    )
-    return SplitProgram(
-        program,
-        transformed,
-        splits,
-        fn_ids,
-        hidden_field_classes={class_name: defaults},
+    return assemble_split(
+        program, splits, hidden_field_classes={class_name: defaults}
     )

@@ -16,10 +16,9 @@ component is genuinely incomplete without the secure side.
 """
 
 from repro.lang import ast
-from repro.lang.clone import clone_expr, clone_type, clone_function
 from repro.analysis.callgraph import build_callgraph
 from repro.analysis.function import analyze_function
-from repro.core.program import SplitProgram
+from repro.core.program import assemble_split
 from repro.core.splitter import (
     SplitError,
     SplitOptions,
@@ -87,7 +86,6 @@ def hide_global(program, checker, name, options=None):
         raise SplitError("global %r is never referenced" % name)
 
     splits = {}
-    fn_ids = {}
     for fn_id, fn in enumerate(referencing):
         analysis = analyze_function(fn, checker)
         qualified = fn.qualified_name
@@ -112,42 +110,7 @@ def hide_global(program, checker, name, options=None):
                 storage_class="global",
             )
         splits[qualified] = split
-        fn_ids[qualified] = fn_id
 
-    transformed = _rebuild_program(program, splits, drop_global=name)
-    return SplitProgram(
-        program,
-        transformed,
-        splits,
-        fn_ids,
-        hidden_global_inits={name: _initial_value(decl)},
+    return assemble_split(
+        program, splits, hidden_global_inits={name: _initial_value(decl)}
     )
-
-
-def _rebuild_program(program, splits, drop_global=None, drop_fields=None):
-    """Clone the program, swapping in open components; optionally drop a
-    hidden global declaration or hidden class fields."""
-    drop_fields = drop_fields or {}
-    new_globals = [
-        ast.GlobalDecl(clone_type(g.var_type), g.name, clone_expr(g.init))
-        for g in program.globals
-        if g.name != drop_global
-    ]
-    new_functions = [
-        splits[fn.qualified_name].open_fn if fn.qualified_name in splits else clone_function(fn)
-        for fn in program.functions
-    ]
-    new_classes = []
-    for cls in program.classes:
-        hidden_fields = drop_fields.get(cls.name, set())
-        fields = [
-            ast.FieldDecl(clone_type(f.field_type), f.name)
-            for f in cls.fields
-            if f.name not in hidden_fields
-        ]
-        methods = [
-            splits[m.qualified_name].open_fn if m.qualified_name in splits else clone_function(m)
-            for m in cls.methods
-        ]
-        new_classes.append(ast.ClassDecl(cls.name, fields, methods))
-    return ast.Program(new_globals, new_classes, new_functions)

@@ -12,7 +12,7 @@ This is the API a tool user starts from::
 
 from repro import obs
 from repro.analysis.function import analyze_function
-from repro.core.program import split_program
+from repro.core.program import assemble_split, split_program
 from repro.core.selection import select_functions, select_variable
 from repro.core.splitter import SplitOptions
 from repro.lang import check_program, parse_program
@@ -26,7 +26,9 @@ def auto_split(program, checker, entry="main", max_functions=None, options=None,
     arithmetic complexity.
 
     Returns a :class:`~repro.core.program.SplitProgram` (with zero splits if
-    nothing qualifies).
+    nothing qualifies).  ``max_functions`` caps the functions actually
+    split.  Each selected function is analysed once, and its winning trial
+    split (made with its final ``fn_id``) is the split that is kept.
 
     With telemetry enabled the phases are profiled as tracer spans —
     ``select`` (function cut + variable choice), ``slice`` (per-function
@@ -37,19 +39,20 @@ def auto_split(program, checker, entry="main", max_functions=None, options=None,
     """
     options = options or SplitOptions()
     with obs.span("select"):
-        names = select_functions(program, checker, entry=entry,
-                                 max_functions=max_functions)
-    choices = []
+        names = select_functions(program, checker, entry=entry)
+    splits = {}
     for name in names:
+        if max_functions is not None and len(splits) >= max_functions:
+            break
         fn = program.function(name)
         with obs.span("slice", fn=name):
             analysis = analyze_function(fn, checker)
         with obs.span("select", fn=name):
-            var, _trial = select_variable(fn, analysis, options=options,
-                                          scorer=scorer)
+            var, split = select_variable(fn, analysis, options=options,
+                                         scorer=scorer, fn_id=len(splits))
         if var is not None:
-            choices.append((name, var))
-    return split_program(program, checker, choices, options=options)
+            splits[fn.qualified_name] = split
+    return assemble_split(program, splits)
 
 
 def prepare_split(program, checker, choices=None, entry="main",

@@ -2,19 +2,28 @@
 
 Applies :func:`~repro.core.splitter.split_function` to a chosen set of
 (function, variable) pairs and assembles the transformed program: split
-functions are replaced by their open components, everything else is cloned
-unchanged.  The hidden fragments are collected into the registry the
-:class:`~repro.runtime.server.HiddenServer` serves from.
+functions are replaced by their open components, everything else is shared
+with the original unchanged.  The hidden fragments are collected into the
+registry the :class:`~repro.runtime.server.HiddenServer` serves from.
 """
 
 from repro.lang import ast
-from repro.lang.clone import clone_expr, clone_function, clone_type
 from repro.analysis.function import analyze_function
 from repro.core.splitter import SplitOptions, split_function
 
 
 class SplitProgram:
-    """A program split into open and hidden components."""
+    """A program split into open and hidden components.
+
+    ``program`` shares every unsplit declaration with ``original``: its
+    unsplit ``Function``, ``GlobalDecl`` and ``FieldDecl`` nodes *are* the
+    original's, and only the open components (and the ``Program`` and
+    ``ClassDecl`` containers) are new.  Nothing may therefore mutate either
+    program's AST in place.  What runs on them respects that: the type
+    checker writes ``binding`` only while checking a fresh parse, nothing
+    reads ``uid``, the engines key their code caches per ``Interpreter``,
+    and the fuzz reducer edits fresh parses of its source.
+    """
 
     def __init__(self, original, program, splits, fn_ids,
                  hidden_global_inits=None, hidden_field_classes=None):
@@ -97,7 +106,6 @@ def split_program(program, checker, choices, options=None):
     """
     options = options or SplitOptions()
     splits = {}
-    fn_ids = {}
     for fn_id, (name, var) in enumerate(choices):
         fn = program.function(name)
         qualified = fn.qualified_name
@@ -105,24 +113,38 @@ def split_program(program, checker, choices, options=None):
             raise ValueError("function %r chosen twice" % qualified)
         analysis = analyze_function(fn, checker)
         splits[qualified] = split_function(fn, var, analysis, fn_id=fn_id, options=options)
-        fn_ids[qualified] = fn_id
+    return assemble_split(program, splits)
 
-    new_globals = [
-        ast.GlobalDecl(clone_type(g.var_type), g.name, clone_expr(g.init))
-        for g in program.globals
-    ]
-    new_functions = [_replace(fn, splits) for fn in program.functions]
+
+def assemble_split(program, splits, hidden_global_inits=None,
+                   hidden_field_classes=None):
+    """Assemble the :class:`SplitProgram` of ``program`` from ``splits``:
+    qualified function name -> :class:`~repro.core.hidden.SplitFunction`,
+    in ``fn_id`` order (the i-th split must have been made with
+    ``fn_id=i``).
+
+    Split functions are replaced by their open components; every other
+    declaration is shared with ``program``.  The hidden globals (the keys
+    of ``hidden_global_inits``) and hidden fields (``hidden_field_classes``:
+    class -> {field: initial value}) are left out of the open program.
+    """
+    hidden_global_inits = hidden_global_inits or {}
+    hidden_field_classes = hidden_field_classes or {}
+
+    def open_fn(fn):
+        split = splits.get(fn.qualified_name)
+        return fn if split is None else split.open_fn
+
+    new_globals = [g for g in program.globals if g.name not in hidden_global_inits]
     new_classes = []
     for cls in program.classes:
-        fields = [ast.FieldDecl(clone_type(f.field_type), f.name) for f in cls.fields]
-        methods = [_replace(m, splits) for m in cls.methods]
+        hidden = hidden_field_classes.get(cls.name, ())
+        fields = [f for f in cls.fields if f.name not in hidden]
+        methods = [open_fn(m) for m in cls.methods]
         new_classes.append(ast.ClassDecl(cls.name, fields, methods))
+    new_functions = [open_fn(fn) for fn in program.functions]
     transformed = ast.Program(new_globals, new_classes, new_functions)
-    return SplitProgram(program, transformed, splits, fn_ids)
-
-
-def _replace(fn, splits):
-    split = splits.get(fn.qualified_name)
-    if split is not None:
-        return split.open_fn
-    return clone_function(fn)
+    fn_ids = {name: fn_id for fn_id, name in enumerate(splits)}
+    return SplitProgram(program, transformed, splits, fn_ids,
+                        hidden_global_inits=hidden_global_inits,
+                        hidden_field_classes=hidden_field_classes)

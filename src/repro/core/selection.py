@@ -14,15 +14,17 @@ the security estimator.
 
 from repro.lang import ast
 from repro.analysis.callgraph import build_callgraph, select_cut
-from repro.analysis.function import analyze_function
 from repro.analysis.slicing import forward_slice
 from repro.core.splitter import SplitError, split_function
 
 
-def splittable_variables(fn, analysis):
+def splittable_variables(fn, analysis=None):
     """Candidate hidden variables: scalar locals declared in ``fn`` (the
     paper restricts hiding to scalars local to the function; parameters are
-    excluded because their incoming values are openly visible anyway)."""
+    excluded because their incoming values are openly visible anyway).
+
+    The candidates are read off the declarations alone; ``analysis`` is
+    accepted for callers that hold one and is not needed."""
     params = {p.name for p in fn.params}
     names = []
     for stmt in ast.walk_stmts(fn.body):
@@ -32,23 +34,28 @@ def splittable_variables(fn, analysis):
     return names
 
 
-def select_variable(fn, analysis, options=None, scorer=None):
+def select_variable(fn, analysis, options=None, scorer=None, fn_id=0):
     """Pick the hidden variable for ``fn``.
 
     ``scorer(split_fn, analysis) -> sortable`` ranks trial splits; the
     default is the security estimator's maximum ILP arithmetic complexity
     (ties broken by slice size).  Returns ``(var, split_fn)`` or
     ``(None, None)`` when the function has no usable candidate.
+
+    Trial splits are made with ``fn_id``, so when it is the function's
+    final id the winning ``split_fn`` is the split itself and need not be
+    recomputed.
     """
     if scorer is None:
         scorer = _default_scorer
     best = None
-    for var in splittable_variables(fn, analysis):
+    for var in splittable_variables(fn):
         sl = forward_slice(fn, var, analysis.defuse, analysis.local_types)
         if sl.size() < 2:
             continue  # hiding a variable nothing depends on protects nothing
         try:
-            split = split_function(fn, var, analysis, options=options)
+            split = split_function(fn, var, analysis, fn_id=fn_id,
+                                   options=options)
         except SplitError:
             continue
         if not split.ilps:
@@ -85,10 +92,11 @@ def _default_scorer(split, analysis):
     return (sum(ranks), max(ranks), len(split.ilps), split.slice.size())
 
 
-def select_functions(program, checker, entry="main", max_functions=None,
+def select_functions(program, checker, entry="main",
                      avoid_recursive=True, avoid_loop_called=True):
     """Choose the set of functions to split: the call-graph cut, filtered to
-    functions that actually have a splittable variable."""
+    functions that declare a splittable variable.  Whether a candidate's
+    split leaks anything is :func:`select_variable`'s question."""
     cg = build_callgraph(program, checker)
     cut = select_cut(
         cg,
@@ -96,12 +104,4 @@ def select_functions(program, checker, entry="main", max_functions=None,
         avoid_recursive=avoid_recursive,
         avoid_loop_called=avoid_loop_called,
     )
-    selected = []
-    for name in cut:
-        fn = cg.functions[name]
-        analysis = analyze_function(fn, checker)
-        if splittable_variables(fn, analysis):
-            selected.append(name)
-        if max_functions is not None and len(selected) >= max_functions:
-            break
-    return selected
+    return [name for name in cut if splittable_variables(cg.functions[name])]

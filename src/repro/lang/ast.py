@@ -386,55 +386,64 @@ def child_stmt_lists(stmt):
 
 
 def walk_stmts(stmts):
-    """Yield every statement in ``stmts``, recursively, pre-order."""
-    for stmt in stmts:
-        yield stmt
-        for sub in child_stmt_lists(stmt):
-            for inner in walk_stmts(sub):
-                yield inner
+    """Yield every statement in ``stmts``, recursively, pre-order.
+
+    Walks with an explicit stack of list iterators, so deep nesting costs
+    no generator per level."""
+    stack = [iter(stmts)]
+    while stack:
+        for stmt in stack[-1]:
+            yield stmt
+            subs = child_stmt_lists(stmt)
+            if subs:
+                stack.extend(iter(sub) for sub in reversed(subs))
+                break
+        else:
+            stack.pop()
 
 
 def walk_exprs(expr):
     """Yield ``expr`` and every sub-expression, pre-order."""
-    if expr is None:
-        return
-    yield expr
-    if isinstance(expr, BinaryOp):
-        for e in walk_exprs(expr.left):
-            yield e
-        for e in walk_exprs(expr.right):
-            yield e
-    elif isinstance(expr, UnaryOp):
-        for e in walk_exprs(expr.operand):
-            yield e
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            for e in walk_exprs(arg):
-                yield e
-    elif isinstance(expr, MethodCall):
-        for e in walk_exprs(expr.receiver):
-            yield e
-        for arg in expr.args:
-            for e in walk_exprs(arg):
-                yield e
-    elif isinstance(expr, Index):
-        for e in walk_exprs(expr.base):
-            yield e
-        for e in walk_exprs(expr.index):
-            yield e
-    elif isinstance(expr, FieldAccess):
-        for e in walk_exprs(expr.obj):
-            yield e
-    elif isinstance(expr, NewArray):
-        for e in walk_exprs(expr.size):
-            yield e
+    return _walk_exprs([expr])
 
 
 def stmt_exprs(stmt):
     """Yield every expression (recursively) owned directly by ``stmt``."""
-    for top in child_expr_lists(stmt):
-        for e in walk_exprs(top):
-            yield e
+    return _walk_exprs(child_expr_lists(stmt)[::-1])
+
+
+_LEAF_EXPRS = (VarRef, IntLit, FloatLit, BoolLit, NewObject)
+
+
+def _walk_exprs(stack):
+    """Pre-order walk of the expressions on ``stack`` (top last), skipping
+    ``None``; children are pushed right to left so the leftmost comes next."""
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        expr = pop()
+        if expr is None:
+            continue
+        yield expr
+        if isinstance(expr, _LEAF_EXPRS):
+            continue
+        if isinstance(expr, BinaryOp):
+            push(expr.right)
+            push(expr.left)
+        elif isinstance(expr, UnaryOp):
+            push(expr.operand)
+        elif isinstance(expr, Call):
+            stack.extend(reversed(expr.args))
+        elif isinstance(expr, MethodCall):
+            stack.extend(reversed(expr.args))
+            push(expr.receiver)
+        elif isinstance(expr, Index):
+            push(expr.index)
+            push(expr.base)
+        elif isinstance(expr, FieldAccess):
+            push(expr.obj)
+        elif isinstance(expr, NewArray):
+            push(expr.size)
 
 
 def structurally_equal(a, b):

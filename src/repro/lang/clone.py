@@ -4,6 +4,11 @@ The splitter must leave the original program untouched (the security
 estimator runs on it), so every statement or expression placed into an open
 or hidden component is cloned.  Fresh ``uid``s are assigned; ``binding``
 annotations on variable references are preserved.
+
+Whole functions are never cloned: a split program shares each unsplit
+function (and every global and field declaration) with the original, so
+no AST of a split program or its original may be mutated in place (see
+:class:`~repro.core.program.SplitProgram`).
 """
 
 from repro.lang import ast
@@ -106,29 +111,3 @@ def clone_stmt(stmt):
 
 def clone_body(body):
     return [clone_stmt(s) for s in body]
-
-
-def clone_function(fn):
-    params = [
-        ast.Param(clone_type(p.param_type), p.name).at(p.line, p.col) for p in fn.params
-    ]
-    return ast.Function(
-        fn.name, params, clone_type(fn.ret_type), clone_body(fn.body), owner=fn.owner
-    ).at(fn.line, fn.col)
-
-
-def clone_program(program):
-    globals_ = [
-        ast.GlobalDecl(clone_type(g.var_type), g.name, clone_expr(g.init)).at(g.line, g.col)
-        for g in program.globals
-    ]
-    classes = []
-    for cls in program.classes:
-        fields = [
-            ast.FieldDecl(clone_type(f.field_type), f.name).at(f.line, f.col)
-            for f in cls.fields
-        ]
-        methods = [clone_function(m) for m in cls.methods]
-        classes.append(ast.ClassDecl(cls.name, fields, methods).at(cls.line, cls.col))
-    functions = [clone_function(fn) for fn in program.functions]
-    return ast.Program(globals_, classes, functions)

@@ -3,7 +3,7 @@
 from repro.lang import ast, parse_program
 from repro.lang import builders as b
 from repro.lang.ast import structurally_equal, walk_exprs, walk_stmts
-from repro.lang.clone import clone_function, clone_program, clone_stmt
+from repro.lang.clone import clone_body, clone_stmt
 from repro.lang.parser import parse_expression
 
 
@@ -112,18 +112,20 @@ def test_ty_spec_parsing():
 
 def test_clone_is_structurally_equal_but_fresh():
     fn = parse_program(SRC).functions[0]
-    copy = clone_function(fn)
-    assert structurally_equal(fn, copy)
-    assert copy.uid != fn.uid
-    assert copy.body[0] is not fn.body[0]
+    copy = clone_body(fn.body)
+    assert structurally_equal(fn.body, copy)
+    assert copy[0].uid != fn.body[0].uid
+    assert copy[0] is not fn.body[0]
 
 
-def test_clone_program_deep():
-    program = parse_program(SRC + "global int g = 1;")
-    copy = clone_program(program)
-    assert structurally_equal(program, copy)
-    copy.functions[0].body[0].name = "renamed"
-    assert program.functions[0].body[0].name == "s"
+def test_clone_body_deep():
+    program = parse_program(SRC)
+    body = program.functions[0].body
+    copy = clone_body(body)
+    copy[0].name = "renamed"
+    copy[2].body[0].value.left.name = "renamed"
+    assert body[0].name == "s"
+    assert body[2].body[0].value.left.name == "s"
 
 
 def test_clone_preserves_bindings():
@@ -131,8 +133,8 @@ def test_clone_preserves_bindings():
 
     program = parse_program("global int g = 0; func int f() { return g; }")
     check_program(program)
-    copy = clone_function(program.functions[0])
-    ref = copy.body[0].value
+    copy = clone_stmt(program.functions[0].body[0])
+    ref = copy.value
     assert ref.binding == "global"
 
 
@@ -141,3 +143,64 @@ def test_is_scalar_type():
     assert ast.is_scalar_type(ast.BoolType())
     assert not ast.is_scalar_type(ast.ArrayType(ast.IntType()))
     assert not ast.is_scalar_type(ast.ClassType("C"))
+
+
+# Recursive reference walkers: the explicit-stack walkers in ``ast`` must
+# yield exactly this pre-order.
+def _ref_walk_stmts(stmts):
+    for stmt in stmts:
+        yield stmt
+        for sub in ast.child_stmt_lists(stmt):
+            yield from _ref_walk_stmts(sub)
+
+
+def _ref_walk_exprs(expr):
+    if expr is None:
+        return
+    yield expr
+    if isinstance(expr, ast.BinaryOp):
+        children = [expr.left, expr.right]
+    elif isinstance(expr, ast.UnaryOp):
+        children = [expr.operand]
+    elif isinstance(expr, ast.Call):
+        children = expr.args
+    elif isinstance(expr, ast.MethodCall):
+        children = [expr.receiver] + expr.args
+    elif isinstance(expr, ast.Index):
+        children = [expr.base, expr.index]
+    elif isinstance(expr, ast.FieldAccess):
+        children = [expr.obj]
+    elif isinstance(expr, ast.NewArray):
+        children = [expr.size]
+    else:
+        children = []
+    for child in children:
+        yield from _ref_walk_exprs(child)
+
+
+def _assert_walks_match(program):
+    for fn in program.all_functions():
+        stmts = list(walk_stmts(fn.body))
+        assert stmts == list(_ref_walk_stmts(fn.body))
+        for stmt in stmts:
+            expected = [
+                e for top in ast.child_expr_lists(stmt) for e in _ref_walk_exprs(top)
+            ]
+            assert list(ast.stmt_exprs(stmt)) == expected
+            for top in ast.child_expr_lists(stmt):
+                assert list(walk_exprs(top)) == list(_ref_walk_exprs(top))
+
+
+def test_walkers_match_recursive_reference_on_fuzz_programs():
+    from repro.fuzz.generate import generate_program
+
+    for seed in range(50):
+        program, _args = generate_program(seed)
+        _assert_walks_match(program)
+
+
+def test_walkers_match_recursive_reference_on_fig2():
+    from repro.bench.paperexamples import FIG2_SOURCE
+
+    _assert_walks_match(parse_program(FIG2_SOURCE))
+    assert list(walk_exprs(None)) == []

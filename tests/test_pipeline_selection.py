@@ -2,7 +2,7 @@
 
 from repro.lang import parse_program, check_program
 from repro.analysis.function import analyze_function
-from repro.core.pipeline import auto_split
+from repro.core.pipeline import auto_split, split_source
 from repro.core.selection import select_functions, select_variable, splittable_variables
 from repro.runtime.splitrun import check_equivalence
 from repro.security.lattice import CType
@@ -89,6 +89,26 @@ def test_auto_split_max_functions():
     program, checker = setup()
     sp = auto_split(program, checker, max_functions=1)
     assert len(sp.splits) == 1
+
+
+def test_auto_split_max_functions_counts_functions_split():
+    # ``a`` declares a local but hiding it protects nothing; the cap must
+    # not be spent on it while ``b`` still qualifies.
+    source = """
+    func int a(int x) { int t = 1; return x; }
+    func int b(int x) {
+        int s = x * 3;
+        s = s + x;
+        return s * 2;
+    }
+    func void main(int x) {
+        print(a(x));
+        print(b(x));
+    }
+    """
+    for cap in (None, 1, 2):
+        _program, _checker, sp = split_source(source, max_functions=cap)
+        assert sorted(sp.splits) == ["b"], cap
 
 
 def test_auto_split_custom_scorer():
