@@ -118,20 +118,39 @@ def build_callgraph(program, checker=None):
 
     for fn in program.all_functions():
         caller = fn.qualified_name
-        for stmt in ast.walk_stmts(fn.body):
-            in_loop = False
+        for stmt, in_loop in _walk_with_loops(fn.body):
             for expr in ast.stmt_exprs(stmt):
                 if isinstance(expr, ast.Call):
                     if expr.name in BUILTIN_SIGNATURES:
                         continue
                     callee = _resolve_free_call(program, fn, expr.name)
-                    cg.add_call(caller, callee, expr, _site_in_loop(fn, stmt))
+                    cg.add_call(caller, callee, expr, in_loop)
                 elif isinstance(expr, ast.MethodCall):
                     callee = _resolve_method_call(
                         program, checker, methods_by_name, expr
                     )
-                    cg.add_call(caller, callee, expr, _site_in_loop(fn, stmt))
+                    cg.add_call(caller, callee, expr, in_loop)
     return cg
+
+
+def _walk_with_loops(body):
+    """Yield ``(stmt, in_loop)`` for every statement of ``body`` in
+    :func:`~repro.lang.ast.walk_stmts` order, where ``in_loop`` says the
+    statement lies inside a loop.  A ``For``'s ``init`` and ``update``
+    count as inside it; a loop's own condition belongs to the loop
+    statement, so it is inside only an enclosing loop."""
+    stack = [(iter(body), False)]
+    while stack:
+        stmts, in_loop = stack[-1]
+        for stmt in stmts:
+            yield stmt, in_loop
+            subs = ast.child_stmt_lists(stmt)
+            if subs:
+                inner = in_loop or isinstance(stmt, (ast.While, ast.For))
+                stack.extend((iter(sub), inner) for sub in reversed(subs))
+                break
+        else:
+            stack.pop()
 
 
 def _resolve_free_call(program, caller_fn, name):
@@ -158,40 +177,6 @@ def _resolve_method_call(program, checker, methods_by_name, expr):
     if len(candidates) == 1:
         return candidates[0].qualified_name
     return expr.name
-
-
-def _site_in_loop(fn, stmt):
-    """True when ``stmt`` lies inside any loop of ``fn``'s body."""
-    return _search_in_loop(fn.body, stmt, False)
-
-
-def _search_in_loop(body, target, inside):
-    for s in body:
-        if s is target:
-            return inside
-        if isinstance(s, ast.If):
-            found = _search_in_loop(s.then_body, target, inside)
-            if found is not None:
-                return found
-            found = _search_in_loop(s.else_body, target, inside)
-            if found is not None:
-                return found
-        elif isinstance(s, ast.While):
-            found = _search_in_loop(s.body, target, True)
-            if found is not None:
-                return found
-        elif isinstance(s, ast.For):
-            for sub in (s.init, s.update):
-                if sub is target:
-                    return True
-            found = _search_in_loop(s.body, target, True)
-            if found is not None:
-                return found
-        elif isinstance(s, ast.Block):
-            found = _search_in_loop(s.body, target, inside)
-            if found is not None:
-                return found
-    return None
 
 
 def select_cut(cg, entry="main", avoid_recursive=True, avoid_loop_called=True):

@@ -1013,8 +1013,8 @@ def build_parser():
     )
     p.add_argument(
         "log",
-        help="flight-recorder jsonl (--log-events output) to replay; "
-        "server-side logs replay with full fidelity",
+        help="flight-recorder jsonl (--log-events output of serve or "
+        "run-split) to replay",
     )
     p.add_argument("--address", required=True, metavar="HOST:PORT",
                    help="address of the serving daemon")

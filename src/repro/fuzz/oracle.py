@@ -10,13 +10,16 @@ combinations are :data:`PRODUCT`, each cell named
 the *client* engine, the in-process daemon runs the default one.  The
 default :data:`CONFIGS` is one ``original-{engine}`` cell per other
 engine plus a greedy pairwise cover of :data:`PRODUCT`.  Two rules hold
-the accounting, each group checked against its first present cell:
+the accounting of the cells that behaved like the reference (one that
+did not is reported for its behaviour alone: a wrong result also shows
+in its transcript), each group checked against its first cell:
 
 * **steps** — original cells step like the reference; split cells take
   equal open steps, and in-process ones equal hidden steps too;
-* **traffic** — split cells equal on :data:`TRAFFIC_AXES` make equal
-  round trips with equal transcript event kinds: engines, transport,
-  cache and tracing are traffic-neutral (docs/PROTOCOL.md).
+* **traffic** — split cells equal on :data:`TRAFFIC_AXES` record equal
+  transcripts, event for event (kind, activation, function, label, sent
+  values, result): engines, transport, cache and tracing are
+  traffic-neutral (docs/PROTOCOL.md).
 
 A program whose automatic selection finds nothing to split (or where an
 explicit choice raises ``SplitError``) skips the split configurations —
@@ -126,17 +129,16 @@ def select_configs(spec):
 class Observation:
     """What one run under one configuration looked like."""
 
-    __slots__ = ("value", "output", "steps_open", "steps_hidden",
-                 "interactions", "kinds", "error")
+    __slots__ = ("value", "output", "steps_open", "steps_hidden", "events",
+                 "error")
 
     def __init__(self, value=None, output=(), steps_open=0, steps_hidden=0,
-                 interactions=0, kinds=(), error=None):
+                 events=(), error=None):
         self.value = value
         self.output = list(output)
         self.steps_open = steps_open
         self.steps_hidden = steps_hidden
-        self.interactions = interactions
-        self.kinds = tuple(kinds)
+        self.events = tuple(events)  # (kind, hid, fn, label, sent, result)
         self.error = error
 
 
@@ -182,15 +184,12 @@ def _observe(thunk):
         result = thunk()
     except Exception as exc:  # a crash is an observation, not a campaign abort
         return Observation(error="%s: %s" % (type(exc).__name__, exc))
-    kinds = ()
-    interactions = 0
+    events = ()
     if result.channel is not None:
-        interactions = result.channel.interactions
-        transcript = getattr(result.channel, "transcript", None)
-        if transcript is not None:
-            kinds = tuple(e.kind for e in transcript.events)
+        events = tuple((e.kind, e.hid, e.fn_name, e.label, e.sent, e.result)
+                       for e in result.channel.transcript.events)
     return Observation(result.value, result.output, result.steps_open,
-                       result.steps_hidden, interactions, kinds)
+                       result.steps_hidden, events)
 
 
 def _run_config(config, program, sp, address, args, max_steps):
@@ -236,8 +235,18 @@ def _agree(group, kind, what, measure, args):
     the first one's ``measure``; crashed runs are judged by behaviour."""
     group = [(c.name, measure(o)) for c, o in group if o.error is None]
     return [Divergence(name, group[0][0], kind,
-                       "%s %r vs %r" % (what, m, group[0][1]), args)
+                       "%s %s" % (what, _difference(m, group[0][1])), args)
             for name, m in group[1:] if m != group[0][1]]
+
+
+def _difference(m, ref):
+    """``m`` against ``ref``; two transcripts by where they part."""
+    if type(m) is not tuple:
+        return "%r vs %r" % (m, ref)
+    for seq, pair in enumerate(zip(m, ref), 1):
+        if pair[0] != pair[1]:
+            return "#%d %r vs %r" % ((seq,) + pair)
+    return "%d vs %d events" % (len(m), len(ref))
 
 
 def _diff_accounting(present, args):
@@ -256,10 +265,8 @@ def _diff_accounting(present, args):
         key = tuple(getattr(p[0], axis) for axis in TRAFFIC_AXES)
         groups.setdefault(key, []).append(p)
     for group in groups.values():
-        found += _agree(group, "interactions", "round trips",
-                        lambda o: o.interactions, args)
-        found += _agree(group, "transcript", "event kinds",
-                        lambda o: o.kinds, args)
+        found += _agree(group, "transcript", "event",
+                        lambda o: o.events, args)
     return found
 
 
@@ -322,9 +329,12 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
                 obs_ = _run_config(config, program, sp, address, args,
                                    max_steps)
                 result.observations[(config.name, args)] = obs_
-                present.append((config, obs_))
-                result.divergences.extend(
-                    _diff_behaviour(config.name, present[0][1], obs_, args))
+                found = _diff_behaviour(
+                    config.name, (present[0][1] if present else obs_),
+                    obs_, args)
+                result.divergences.extend(found)
+                if not found:
+                    present.append((config, obs_))
             result.divergences.extend(_diff_accounting(present, args))
     finally:
         if server_ctx is not None:

@@ -132,8 +132,8 @@ class SyntheticClient:
                                "oid": next_oid}
                     next_oid += 1
                 elif len(functions) == 1:
-                    # client-side logs record fn "-": unambiguous only
-                    # for single-function programs
+                    # older client-side logs record fn "-": unambiguous
+                    # only for single-function programs
                     payload = {"op": "open",
                                "fn_id": next(iter(functions.values()))}
                     pushes_hid = True

@@ -7,11 +7,12 @@ recorder deliberately never captures (docs/OBSERVABILITY.md).  Replay
 sends zeros of the right arity instead; the hidden side executes the same
 fragments over the same wire ops, which is what a load test measures.
 
-Server-side logs (``repro serve --log-events``) replay with full fidelity:
-their events carry real function names, resolved against the ``functions``
-map the daemon advertises in its handshake.  Client-side logs record
-``fn: "-"`` (the open component does not know hidden names), so they only
-replay against single-function programs, where the mapping is unambiguous.
+Logs from either end (``repro serve`` or ``run-split --log-events``)
+replay with full fidelity: their events carry real function names,
+resolved against the ``functions`` map the daemon advertises in its
+handshake.  Client-side logs older than that record ``fn: "-"``, so they
+only replay against single-function programs, where the mapping is
+unambiguous.
 """
 
 import json

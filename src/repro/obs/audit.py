@@ -4,8 +4,9 @@ The static estimator (:mod:`repro.security.estimator`) bounds, per
 information leak point, how hard the leaked value is to reconstruct —
 ``<Type, Inputs, Degree>`` (Table 3) plus control-flow shape (Table 4).
 The runtime records, per ILP, how much actually crossed the wire —
-``repro_channel_values_total{fn,label}``, ``repro_server_calls_total``,
-and the flight recorder's per-event stream.  This module joins the two on
+``repro_channel_values_total{fn,label}``, the count of
+``repro_server_fragment_steps{fn,label}`` (fragment executions), and the
+flight recorder's per-event stream.  This module joins the two on
 :attr:`~repro.security.estimator.ILPComplexity.key` and applies a **leak
 budget**: the number of observed values an ILP may emit before an
 adversary plausibly has enough samples to fit its class of function.
@@ -25,7 +26,7 @@ paper's Section 3 tables let a human make, automated.
 """
 
 from repro.runtime.channel import M_VALUES
-from repro.runtime.server import M_CALLS
+from repro.runtime.server import M_FRAGMENT_STEPS
 from repro.security.lattice import CType
 from repro.security.report import analyze_split_security
 
@@ -134,7 +135,8 @@ def audit_split(split_program, checker, registry, recorder=None, budget=None,
     """Audit one recorded run of ``split_program``.
 
     ``registry`` is the metrics registry the run populated (the per-ILP
-    ``repro_channel_values_total`` / ``repro_server_calls_total`` samples);
+    ``repro_channel_values_total`` samples and the per-ILP count of
+    ``repro_server_fragment_steps``);
     ``recorder`` optionally adds the flight recorder's per-event counts.
     Returns an :class:`AuditReport` with one row per ILP, sorted by
     function then label.
@@ -144,7 +146,7 @@ def audit_split(split_program, checker, registry, recorder=None, budget=None,
     for c in sorted(report.complexities, key=lambda c: c.key):
         fn, label = c.key
         observed_values = registry.value(M_VALUES, fn=fn, label=label)
-        observed_calls = registry.value(M_CALLS, fn=fn, label=label)
+        observed_calls = registry.value(M_FRAGMENT_STEPS, fn=fn, label=label)
         observed_events = 0
         if recorder is not None:
             observed_events = sum(

@@ -254,12 +254,15 @@ class Registry:
         return family.help if family is not None else ""
 
     def value(self, name, **labels):
-        """The value of one counter/gauge sample, 0 when absent."""
+        """The value of one counter/gauge sample, or the observation count
+        of one histogram sample; 0 when absent."""
         family = self._families.get(name)
         if family is None or set(labels) != set(family.labels):
             return 0
         metric = family.children.get(tuple(labels[k] for k in family.labels))
-        return metric.value if metric is not None else 0
+        if metric is None:
+            return 0
+        return metric.count if family.cls is Histogram else metric.value
 
     def total(self, name):
         """Sum of a counter/gauge family across all label sets."""

@@ -161,11 +161,12 @@ def _programs(snap):
 
 
 def _rate(prev, cur, name, dt, label_key):
+    """Observations per second of histogram ``name``."""
     if dt <= 0:
         return 0.0
     cur_v = _sample_map(cur, name).get(label_key)
     prev_v = _sample_map(prev, name).get(label_key)
-    delta = (cur_v["value"] if cur_v else 0) - (prev_v["value"] if prev_v else 0)
+    delta = (cur_v["count"] if cur_v else 0) - (prev_v["count"] if prev_v else 0)
     return max(0.0, delta / dt)
 
 
@@ -200,7 +201,7 @@ def render_top(doc):
     for program in programs:
         key = (("program", program),)
         ops_rate = (
-            "%.1f" % _rate(prev, cur, "repro_remote_ops_total", dt, key)
+            "%.1f" % _rate(prev, cur, "repro_remote_exec_seconds", dt, key)
             if prev is not None else "-"
         )
         exec_sample = _sample_map(cur, "repro_remote_exec_seconds").get(key)

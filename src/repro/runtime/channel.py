@@ -1,4 +1,4 @@
-"""The simulated communication channel between open and hidden components.
+"""The communication channel between open and hidden components.
 
 The paper ran the two components on separate Linux machines over a LAN;
 here, every request/response round trip is charged to a configurable
@@ -6,12 +6,11 @@ here, every request/response round trip is charged to a configurable
 is exactly what a network adversary observes — the attack module consumes
 it to try to recover hidden fragments.
 
-The channel also implements *send coalescing* (docs/PROTOCOL.md, "Batching
-and coalescing"): one-way messages whose result the sender does not need
-can be deferred with :meth:`Channel.defer` and are flushed as a single
-``batch`` round trip at the next synchronisation point — automatically
-before any ordinary :meth:`Channel.round_trip`, or explicitly via
-:meth:`Channel.flush_deferred` at end of run.
+:class:`Link` alone decides what crosses the channel and charges it, on
+every transport, so a TCP run accounts exactly like an in-process one.
+With batching it defers one-way messages (:meth:`Channel.defer`), which
+are charged as one ``batch`` round trip at the next synchronisation point
+(docs/PROTOCOL.md, "Batching and coalescing").
 
 When telemetry is enabled (:mod:`repro.obs`), every round trip is also
 recorded in the active registry — counters by event kind, per-ILP value
@@ -30,6 +29,7 @@ from repro.obs.metrics import (
     SIM_MS_BUCKETS,
     declare,
 )
+from repro.runtime.values import RuntimeErr
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
 M_ROUND_TRIPS = declare("repro_channel_round_trips_total", "counter",
@@ -236,110 +236,221 @@ class Channel:
             self._m_rt_phase = family(M_RT_PHASE)
 
     def defer(self, kind, hid, fn_name, label, sent):
-        """Buffer a one-way message instead of charging a round trip.
-
-        Deferred messages are folded into a single ``batch`` round trip by
-        :meth:`flush_deferred`, which runs automatically before the next
-        ordinary :meth:`round_trip` (the first intervening receive).  Only
-        messages whose result the open side does not need may be deferred
-        (see docs/PROTOCOL.md for the deferability rule).
-        """
+        """Buffer a one-way message instead of charging a round trip; the
+        next :meth:`round_trip` or :meth:`flush_deferred` charges all that
+        are buffered as one ``batch`` round trip (docs/PROTOCOL.md)."""
         self._pending.append((kind, hid, fn_name, label, tuple(sent)))
 
     def flush_deferred(self, phases=None, trace=None):
-        """Flush buffered one-way messages as one ``batch`` round trip.
-
-        No-op when nothing is pending.  Returns the number of messages
-        coalesced into the flush.  ``phases``/``trace`` carry the measured
-        wire timings and trace context of a traced remote flush
-        (docs/PROTOCOL.md); simulated runs leave them ``None``, keeping
-        the recorded event schema bit-identical to the seed.
-        """
+        """Charge the buffered one-way messages as one ``batch`` round trip
+        (a no-op with none); returns how many it coalesced.  ``phases`` and
+        ``trace`` are a traced remote flush's measured timings and trace
+        context (docs/PROTOCOL.md); untraced they stay ``None``, keeping
+        the recorded event schema bit-identical to the seed."""
         pending = self._pending
         if not pending:
             return 0
         self._pending = []
-        merged = []
-        for _kind, _hid, _fn_name, _label, sent in pending:
-            merged.extend(sent)
-        self.interactions += 1
-        self.values_sent += len(merged)
         self.coalesced_messages += len(pending)
-        cost_ms = self.latency.cost_ms(len(merged) + 1)
-        self.simulated_ms += cost_ms
         if self._registry is not None:
-            self._record_batch_metrics(pending, merged, cost_ms)
-            if phases is not None:
-                self._record_phase_metrics(phases)
-        if self._recorder is not None:
-            self._recorder.channel(
-                "batch", "-", "-", len(merged),
-                _HEADER_BYTES + _VALUE_BYTES * len(merged), cost_ms,
-                **_trace_fields(phases, trace),
-            )
-        if self.record:
-            self.transcript.append(
-                Event(self.interactions, "batch", None, "-", None, merged,
-                      None, cost_ms)
-            )
+            for kind, _hid, fn_name, label, sent in pending:
+                self._m_coalesced.child(kind).inc()
+                if sent:
+                    self._m_values.child(fn_name or "-",
+                                         _label(label)).inc(len(sent))
+            self._m_batch_size.child().observe(len(pending))
+        merged = [value for *_msg, sent in pending for value in sent]
+        self._record("batch", None, "-", None, merged, None, phases, trace)
         return len(pending)
 
     def round_trip(self, kind, hid, fn_name, label, sent, result,
                    phases=None, trace=None):
         if self._pending:
             self.flush_deferred()
+        if self._registry is not None:
+            self._m_values.child(fn_name or "-", _label(label)).inc(
+                len(sent) + (result is not None))
+        return self._record(kind, hid, fn_name, label, sent, result, phases,
+                            trace)
+
+    def _record(self, kind, hid, fn_name, label, sent, result, phases,
+                trace):
+        """One round trip of any kind: the counts, its simulated cost
+        (also charged to the open tracer span), the metrics, the flight
+        recorder event and the transcript entry."""
+        carried = len(sent) + (result is not None)
+        payload = _HEADER_BYTES + _VALUE_BYTES * carried
         self.interactions += 1
         self.values_sent += len(sent)
-        if result is not None:
-            self.values_received += 1
+        self.values_received += result is not None
         cost_ms = self.latency.cost_ms(len(sent) + 1)
         self.simulated_ms += cost_ms
         if self._registry is not None:
-            self._record_metrics(kind, fn_name, label, sent, result, cost_ms)
+            self._m_round_trips.child(kind).inc()
+            self._m_payload.child(kind).observe(payload)
+            self._m_rtt.child().observe(cost_ms)
+            self._m_sim_ms.child().inc(cost_ms)
+            self._tracer.add_sim_ms(cost_ms)
             if phases is not None:
-                self._record_phase_metrics(phases)
+                for phase in RT_PHASES:
+                    self._m_rt_phase.child(phase).observe(phases[phase])
         if self._recorder is not None:
-            carried = len(sent) + (0 if result is None else 1)
-            self._recorder.channel(
-                kind, fn_name or "-", "-" if label is None else str(label),
-                carried, _HEADER_BYTES + _VALUE_BYTES * carried, cost_ms,
-                **_trace_fields(phases, trace),
-            )
+            self._recorder.channel(kind, fn_name or "-", _label(label),
+                                   carried, payload, cost_ms,
+                                   **_trace_fields(phases, trace))
         if self.record:
-            self.transcript.append(
-                Event(self.interactions, kind, hid, fn_name, label, sent,
-                      result, cost_ms)
-            )
+            self.transcript.append(Event(self.interactions, kind, hid,
+                                         fn_name, label, sent, result,
+                                         cost_ms))
         return result
 
-    def _record_phase_metrics(self, phases):
-        for phase in RT_PHASES:
-            self._m_rt_phase.child(phase).observe(phases[phase])
 
-    def _count_round_trip(self, kind, payload, cost_ms):
-        """The per-round-trip metrics every kind shares, and the simulated
-        cost charged to the open tracer span."""
-        self._m_round_trips.child(kind).inc()
-        self._m_payload.child(kind).observe(payload)
-        self._m_rtt.child().observe(cost_ms)
-        self._m_sim_ms.child().inc(cost_ms)
-        self._tracer.add_sim_ms(cost_ms)
+def _label(label):
+    return "-" if label is None else str(label)
 
-    def _record_metrics(self, kind, fn_name, label, sent, result, cost_ms):
-        carried = len(sent) + (0 if result is None else 1)
-        self._m_values.child(
-            fn_name or "-", "-" if label is None else str(label)
-        ).inc(carried)
-        self._count_round_trip(kind, _HEADER_BYTES + _VALUE_BYTES * carried,
-                               cost_ms)
 
-    def _record_batch_metrics(self, pending, merged, cost_ms):
-        for kind, _hid, fn_name, label, sent in pending:
-            self._m_coalesced.child(kind).inc()
-            if sent:
-                self._m_values.child(
-                    fn_name or "-", "-" if label is None else str(label)
-                ).inc(len(sent))
-        self._m_batch_size.child().observe(len(pending))
-        self._count_round_trip(
-            "batch", _HEADER_BYTES + _VALUE_BYTES * len(merged), cost_ms)
+class Link:
+    """The interpreter's hidden runtime on every transport, and the only
+    code that charges a :class:`Channel` (docs/PROTOCOL.md, "Who charges
+    the channel").  ``hidden`` only executes: a ``HiddenServer`` in
+    process, or over TCP the ``wire``, a ``RemoteHiddenRuntime``.  Events
+    name their activation's function (``fn_names``: fn_id -> name); with
+    ``batching``, ``close``, split-class ``new`` and the calls
+    ``one_way(fn_id, label)`` marks are deferred; each open-memory access
+    of a call is one callback round trip, charged by the window handed
+    down with it."""
+
+    def __init__(self, hidden, channel, fn_names, one_way, batching=False,
+                 wire=None):
+        self.hidden = hidden
+        self.channel = channel
+        self.batching = batching
+        self._fn_names = fn_names
+        self._one_way = one_way
+        self._wire = wire
+        self._hids = {}  # live hid -> (fn_id, fn_name)
+        self._charge = (self._traced_round_trip
+                        if wire is not None and wire.trace
+                        else channel.round_trip)
+        self._window = _Window(self._charge)
+
+    def _traced_round_trip(self, kind, hid, fn_name, label, sent, result):
+        self.channel.round_trip(kind, hid, fn_name, label, sent, result,
+                                phases=self._wire.phases,
+                                trace=self._wire.trace_ctx())
+
+    def _post(self, method, *args):
+        """A deferred message: in process it executes now, over TCP it
+        joins the outbox; either way only its charge waits."""
+        if self._wire is None:
+            return method(*args)
+        return method(*args, one_way=True)
+
+    def sync(self):
+        """Charge what is deferred as one ``batch`` round trip, shipping it
+        first over TCP: before a message that needs an answer, at the end
+        of a run, and after each frame the daemon serves."""
+        wire = self._wire
+        if wire is None:
+            self.channel.flush_deferred()
+        elif wire.outbox:
+            error = wire.ship()
+            self.channel.flush_deferred(phases=wire.phases,
+                                        trace=wire.trace_ctx())
+            if error is not None:
+                raise RuntimeErr("hidden server (deferred): %s" % error)
+
+    def open_activation(self, fn_id, receiver=None):
+        if self._wire is not None:
+            self.sync()
+        hid = self.hidden.open_activation(fn_id, receiver=receiver)
+        fn_name = self._fn_names.get(fn_id, "-")
+        self._hids[hid] = (fn_id, fn_name)
+        self._charge("open", hid, fn_name, None, (fn_id,), hid)
+        return hid
+
+    def close_activation(self, hid):
+        fn = self._hids.pop(hid, None)
+        if fn is None:
+            return  # never opened, or closed already: nothing crosses
+        if self.batching:
+            # hclose returns nothing: a pure send, safe to coalesce
+            self._post(self.hidden.close_activation, hid)
+            self.channel.defer("close", hid, fn[1], None, ())
+        else:
+            self.hidden.close_activation(hid)
+            self._charge("close", hid, fn[1], None, (), None)
+
+    def notify_new_instance(self, obj):
+        # the transport answers whether obj's class is split; the open side
+        # never reads the echoed oid, and any call that could touch the new
+        # instance ships the batch first
+        if self.batching:
+            if self._post(self.hidden.notify_new_instance, obj):
+                self.channel.defer("open", None, obj.class_name, None,
+                                   (obj.oid,))
+        elif self.hidden.notify_new_instance(obj):
+            self._charge("open", None, obj.class_name, None, (obj.oid,),
+                         obj.oid)
+
+    def call(self, hid, label, values, access):
+        fn = self._hids.get(hid)
+        fn_name = "-" if fn is None else fn[1]
+        if self.batching and fn is not None and self._one_way(fn[0], label):
+            # the open side ignores the result (the paper's "any" value)
+            # and the fragment never calls back
+            result = self._post(self.hidden.call, hid, label, values, access)
+            self.channel.defer("call", hid, fn_name, label, values)
+            return result
+        if self._wire is not None:
+            self.sync()
+        window = self._window
+        window.access, window.hid, window.fn_name = access, hid, fn_name
+        result = self.hidden.call(hid, label, values, window)
+        self._charge("call", hid, fn_name, label, values, result)
+        return result
+
+
+class _Window:
+    """A :class:`Link`'s open-memory access window, re-aimed at each call
+    (fragments never nest): each access is one callback round trip of the
+    call's activation, charged once the open side has answered."""
+
+    __slots__ = ("_charge", "access", "hid", "fn_name")
+
+    def __init__(self, charge):
+        self._charge = charge
+
+    def fetch_index(self, name, index):
+        value = self.access.fetch_index(name, index)
+        self._charge("cb_fetch", self.hid, self.fn_name, None, (name, index),
+                     value)
+        return value
+
+    def store_index(self, name, index, value):
+        self.access.store_index(name, index, value)
+        self._charge("cb_store", self.hid, self.fn_name, None,
+                     (name, index, value), None)
+
+    def fetch_field(self, name, field):
+        value = self.access.fetch_field(name, field)
+        self._charge("cb_fetch", self.hid, self.fn_name, None, (name, field),
+                     value)
+        return value
+
+    def store_field(self, name, field, value):
+        self.access.store_field(name, field, value)
+        self._charge("cb_store", self.hid, self.fn_name, None,
+                     (name, field, value), None)
+
+    def fetch_batch(self, items):
+        """One ``cb_batch`` round trip; a reply of the wrong arity is
+        refused uncharged (and leaves no partly filled batch cache)."""
+        values = self.access.fetch_batch(items)
+        if len(values) != len(items):
+            raise RuntimeErr(
+                "hidden fragment of %s: fetch_batch returned %d values "
+                "for %d reads" % (self.fn_name, len(values), len(items)))
+        sent = tuple(v for _kind, name, key in items for v in (name, key))
+        self._charge("cb_batch", self.hid, self.fn_name, None, sent, None)
+        return values

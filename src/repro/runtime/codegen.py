@@ -1256,8 +1256,8 @@ class _FragCodegen(_Lowering):
     across ``hcall``s and must survive mid-fragment aborts — but
     statement dispatch, step accounting, operator application, storage
     routing, and the batch-cache probes are all lowered to straight-line
-    Python.  Open-memory reads/writes still go through the per-call
-    ``_FragmentEvaluator`` callbacks (channel accounting lives there).
+    Python.  Open-memory reads/writes still go through the call's access
+    window (``ev.access``; the Link charges them).
     """
 
     _HEAD = ("def __frag(ev):", "server = ev.server")
@@ -1267,10 +1267,10 @@ class _FragCodegen(_Lowering):
         ("_bc", "ev._batch_cache"),
         ("_HG", "server.hidden_globals"),
         ("_ifd", "ev._instance_fields"),
-        ("_cfi", "ev._cb_fetch_index"),
-        ("_csi", "ev._cb_store_index"),
-        ("_cff", "ev._cb_fetch_field"),
-        ("_csf", "ev._cb_store_field"),
+        ("_cfi", "ev.access.fetch_index"),
+        ("_csi", "ev.access.store_index"),
+        ("_cff", "ev.access.fetch_field"),
+        ("_csf", "ev.access.store_field"),
     )
     #: the result expression's bindings: it neither prefetches nor stores
     _RESULT_BINDINGS = (
@@ -1278,8 +1278,8 @@ class _FragCodegen(_Lowering):
         ("_bc", "ev._batch_cache"),
         ("_HG", "ev.server.hidden_globals"),
         ("_ifd", "ev._instance_fields"),
-        ("_cfi", "ev._cb_fetch_index"),
-        ("_cff", "ev._cb_fetch_field"),
+        ("_cfi", "ev.access.fetch_index"),
+        ("_cff", "ev.access.fetch_field"),
     )
     _COUNTS = "ev.stmt_counts"
     _STEPS = "server"

@@ -909,7 +909,7 @@ class _FragmentCompiler:
             def run(ev):
                 value = value_t(ev)
                 index = index_t(ev)
-                ev._cb_store_index(base_name, index, value)
+                ev.access.store_index(base_name, index, value)
 
             return run
 
@@ -925,7 +925,7 @@ class _FragmentCompiler:
             fname = target.name
 
             def run(ev):
-                ev._cb_store_field(obj_name, fname, value_t(ev))
+                ev.access.store_field(obj_name, fname, value_t(ev))
 
             return run
 
@@ -1055,7 +1055,7 @@ class _FragmentCompiler:
                     cached = cache.get(key, _MISSING)
                     if cached is not _MISSING:
                         return cached
-                return ev._cb_fetch_index(base_name, index_t(ev))
+                return ev.access.fetch_index(base_name, index_t(ev))
 
             return run
 
@@ -1076,7 +1076,7 @@ class _FragmentCompiler:
                     cached = cache.get(key, _MISSING)
                     if cached is not _MISSING:
                         return cached
-                return ev._cb_fetch_field(obj_name, fname)
+                return ev.access.fetch_field(obj_name, fname)
 
             return run
 

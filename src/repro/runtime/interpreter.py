@@ -67,8 +67,8 @@ class OpenAccess:
     """Window the hidden side uses to touch open-component state.
 
     Bound to the activation (``env``) that issued the current ``hcall``.
-    Every method corresponds to one callback round trip; the channel
-    accounting is done by the server, which owns the channel.
+    Every method corresponds to one callback round trip, which the
+    :class:`~repro.runtime.channel.Link` the call goes through charges.
     """
 
     def __init__(self, interp, env):
@@ -103,7 +103,7 @@ class OpenAccess:
         """Serve a batched prefetch callback: ``items`` is a sequence of
         ``("index", name, index)`` / ``("field", name, field)`` descriptors;
         returns the values in order.  One round trip regardless of length —
-        the server charges it as a single ``cb_batch`` interaction."""
+        the Link charges it as a single ``cb_batch`` interaction."""
         values = []
         for kind, name, key in items:
             if kind == "index":

@@ -38,7 +38,7 @@ import time
 from repro import obs
 from repro.obs.metrics import RT_PHASE_BUCKETS, declare
 from repro.runtime.cache import CacheQuota, FragmentCache
-from repro.runtime.channel import Channel, LatencyModel
+from repro.runtime.channel import Channel, LatencyModel, Link
 from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.server import Tenant
@@ -66,8 +66,6 @@ M_SESSION_ERRORS = declare("repro_remote_session_errors_total", "counter",
                            ("reason",))
 M_REJECTED = declare("repro_remote_rejected_total", "counter",
                      "connections refused before handshake", ("reason",))
-M_OPS = declare("repro_remote_ops_total", "counter",
-                "protocol ops served, by program", ("program",))
 M_EXEC_SECONDS = declare("repro_remote_exec_seconds", "histogram",
                          "server-side execution seconds per protocol op",
                          ("program",), buckets=RT_PHASE_BUCKETS)
@@ -215,10 +213,8 @@ class _SocketAccess:
     def __init__(self, rfile, wfile):
         self.rfile = rfile
         self.wfile = wfile
-        self.callbacks = 0
 
     def _round_trip(self, payload):
-        self.callbacks += 1
         _send(self.wfile, payload)
         reply = _recv(self.rfile)
         if type(reply) is not dict:
@@ -375,12 +371,13 @@ class HiddenComponentServer:
         return round((time.perf_counter() - self._t0) * 1e6, 1)
 
     def _new_inner(self, tenant, batching):
-        """A session's private hidden server.  Inner servers are created
-        at session-bind time, when (in the in-process ``remote_server``
-        setup) the *client's* telemetry scope may be active; their
-        fragment events belong to this server's stream, pinned here."""
-        inner = tenant.new_server(engine=self.engine, batching=batching)
-        inner._recorder = self._recorder
+        """A session's private in-process Link and hidden server.  Inner
+        servers are created at session-bind time, when (in the in-process
+        ``remote_server`` setup) the *client's* telemetry scope may be
+        active; their fragment events belong to this server's stream,
+        pinned here."""
+        inner = tenant.new_link(engine=self.engine, batching=batching)
+        inner.hidden._recorder = self._recorder
         return inner
 
     # -- accept loop -----------------------------------------------------------
@@ -482,7 +479,7 @@ class _ClientSession:
         self.cache = False
         self._used = False
         # metric children, bound with the tenant (telemetry on only)
-        self._m_clients = self._m_ops = self._m_exec = None
+        self._m_clients = self._m_exec = None
         self._in_flight = False
         self._lock = threading.Lock()
 
@@ -514,9 +511,10 @@ class _ClientSession:
             # every other session keep going
             server._count_session_error("disconnect")
         finally:
-            if self.inner is not None and self.inner.cache is not None:
-                server._fold_cache_stats(self.tenant.name, self.inner.cache)
-                self.inner.cache.release_all()
+            cache = None if self.inner is None else self.inner.hidden.cache
+            if cache is not None:
+                server._fold_cache_stats(self.tenant.name, cache)
+                cache.release_all()
             if self._m_clients is not None:
                 self._m_clients.dec()
             with contextlib.suppress(OSError):
@@ -538,13 +536,10 @@ class _ClientSession:
         metrics = self.server._metrics
         if metrics is None or self.tenant is None:
             return
-        ops = self._m_ops
-        if ops is None:
+        if self._m_exec is None:
             # bound at the session's first counted op: the binding is final
-            program = self.tenant.name
-            ops = self._m_ops = metrics.counter(M_OPS, program=program)
-            self._m_exec = metrics.histogram(M_EXEC_SECONDS, program=program)
-        ops.inc()
+            self._m_exec = metrics.histogram(M_EXEC_SECONDS,
+                                             program=self.tenant.name)
         self._m_exec.observe(exec_s)
 
     def _loop(self, rfile, wfile):
@@ -595,11 +590,11 @@ class _ClientSession:
                         _send(wfile, {"error": str(exc)})
                         continue
                     finally:
-                        # one-way messages the inner server deferred leave
+                        # one-way messages the inner link deferred leave
                         # with the frame that carried them, so at most one
                         # frame's worth is ever pending
                         if self.inner is not None:
-                            self.inner.channel.flush_deferred()
+                            self.inner.sync()
                     exec_us = round((time.perf_counter() - t0) * 1e6, 1)
                     if recorder is not None:
                         recorder.record("server_send", op=op, ok=True,
@@ -640,15 +635,16 @@ class _ClientSession:
         (docs/CACHING.md)."""
         if self.inner is None:
             return
-        if self.cache and self.inner.cache is None:
-            self.inner.cache = FragmentCache(
+        hidden = self.inner.hidden
+        if self.cache and hidden.cache is None:
+            hidden.cache = FragmentCache(
                 program=self.tenant.name,
                 quota=self.server._cache_quota(self.tenant.name),
             )
-        elif not self.cache and self.inner.cache is not None:
-            self.server._fold_cache_stats(self.tenant.name, self.inner.cache)
-            self.inner.cache.release_all()
-            self.inner.cache = None
+        elif not self.cache and hidden.cache is not None:
+            self.server._fold_cache_stats(self.tenant.name, hidden.cache)
+            hidden.cache.release_all()
+            hidden.cache = None
 
     def _ensure_bound(self):
         if self.inner is None:
@@ -712,6 +708,7 @@ class _ClientSession:
             self.batching = msg["batching"]
             if self.inner is not None:
                 self.inner.batching = self.batching
+                self.inner.hidden.batching = self.batching
         if "cache" in msg:
             self.cache = msg["cache"] and self.server.cache_enabled
             self._apply_cache()
@@ -919,84 +916,65 @@ def _negotiate(rfile, wfile, hello, handshake):
 
 
 class RemoteHiddenRuntime:
-    """Client-side hidden runtime: satisfies the interpreter's hopen /
-    hcall / hclose (and instance notification) over the network, answering
-    the server's access callbacks from the live open-component state.
+    """The client end of the wire: the four hidden-runtime messages as
+    frames, answering the server's callbacks from open memory on the way.
+    It charges and decides nothing; :meth:`link` puts the
+    :class:`~repro.runtime.channel.Link` that does in front of it.  A
+    ``one_way`` message waits in :attr:`outbox` until :meth:`ship` sends
+    it in one ``batch`` frame, where its error (if any) surfaces.
 
-    With ``batching=True`` the client coalesces one-way messages (close,
-    instance notifications, and calls the server's handshake marked
-    deferrable) into an outbox that is flushed as a single ``batch`` frame
-    immediately before the next request that needs an answer — the wire
-    equivalent of the simulated channel's send coalescing, and the "fire
-    and forget, await at the first dependent receive" pipelining of
-    docs/PROTOCOL.md.  Errors from a deferred message surface at that
-    synchronisation point rather than at the original call site.
-
-    With ``trace=True`` every frame the client originates is stamped with
-    a trace context ``tc: [trace_id, cseq]`` and the capability ``hello``
-    exchanges recorder epochs for clock alignment; each answered request
-    is decomposed into measured phases (serialize / wire+queue / server
-    execution / reply deserialize) recorded on the channel event and the
-    ``repro_rt_phase_seconds`` histogram.  Off by default — untraced runs
-    are bit-identical to the seed on the wire and in every account
-    (docs/PROTOCOL.md, "Trace context").
-
-    With ``cache=True`` the client asks the server to memoize cacheable
-    fragment executions for this session (docs/CACHING.md) — channel
-    accounting and results are bit-identical to an uncached session;
-    only the server does less work.
-
-    With ``program=NAME`` the client selects that program on a
-    multi-tenant daemon; a server that predates named programs rejects
-    the selection cleanly (:class:`ChannelProtocolError`).  Without it the
-    session is bound to the daemon's default program — single-program
-    deployments behave exactly as before.
-
-    All four options are negotiated together by :func:`open_session` in
-    one uncounted ``hello``; a client with none of them sends no ``hello``
-    at all.
+    One uncounted ``hello`` (:func:`open_session`; none if nothing is
+    asked) negotiates ``batching`` (server prefetch), ``trace`` (frames
+    stamped ``tc: [trace_id, cseq]``, clocks aligned, each request's
+    measured phases left in :attr:`phases`), ``cache`` (docs/CACHING.md)
+    and ``program`` (a named program; an older server refuses it with
+    :class:`ChannelProtocolError`).  None of them changes the account.
     """
 
-    def __init__(self, address, channel=None, batching=False, policy=None,
-                 trace=False, trace_id=None, program=None, cache=False):
-        self.channel = channel or Channel(LatencyModel.instant(), record=True)
+    def __init__(self, address, batching=False, policy=None, trace=False,
+                 trace_id=None, program=None, cache=False):
         self.batching = batching
-        self.program = program
-        self.cache = bool(cache)
         self.policy = policy or ConnectionPolicy()
         self.trace = bool(trace)
         # the id is fixed before connecting, so it survives the connection
         # policy's reconnect attempts (one logical run = one trace)
         self.trace_id = trace_id or (_new_trace_id() if trace else None)
         self._tseq = 1  # traced, cseq 1 is the hello (open_session)
-        self._outbox = []
-        self._hid_fn = {}  # hid -> fn_id, to look up deferrable labels
+        self.outbox = []  # frames of deferred messages, until ship()
+        self.phases = None  # traced: the last answered request's phases
         self._recorder = obs.get_recorder()
         session = open_session(address, self.policy, {
-            "program": program, "batching": batching, "cache": self.cache,
+            "program": program, "batching": batching, "cache": bool(cache),
             "trace": {"id": self.trace_id} if self.trace else None,
         })
         self._sock = session.sock
         self._rfile = session.rfile
         self._wfile = session.wfile
         self.connect_attempts = session.attempts
-        facts = session.facts
-        #: what the server actually granted (False against an old server
-        #: or a daemon serving --cache off)
-        self.cache_enabled = bool(facts.get("cache"))
-        self._split_classes = set(facts.get("classes", []))
-        self._deferrable = {
-            int(fn_id): set(labels)
-            for fn_id, labels in (facts.get("deferrable") or {}).items()
-        }
+        self.facts = session.facts
+        self._split_classes = set(self.facts.get("classes", []))
         self.clock_sync = session.clock_sync
         if self.clock_sync is not None and self._recorder is not None:
             self._recorder.record("trace_sync", trace_id=self.trace_id,
                                   **self.clock_sync)
 
+    def link(self, channel=None):
+        """The :class:`~repro.runtime.channel.Link` that charges
+        ``channel`` (a recorded instant one by default) for this session,
+        with the function names and one-way calls the server advertised."""
+        functions = self.facts.get("functions") or {}
+        deferrable = self.facts.get("deferrable") or {}
+        return Link(
+            self, channel or Channel(LatencyModel.instant(), record=True),
+            {fn_id: name for name, fn_id in functions.items()},
+            lambda fn_id, label: label in deferrable.get(str(fn_id), ()),
+            batching=self.batching, wire=self,
+        )
+
     def close(self):
+        """End the session: a clean ``shutdown``.  Deferred messages still
+        in the outbox die with the session."""
         with contextlib.suppress(OSError, RuntimeErr):
-            self._flush_outbox()
             _send(self._wfile, self._stamp({"op": "shutdown"}))
         with contextlib.suppress(OSError):
             self._sock.close()
@@ -1007,39 +985,31 @@ class RemoteHiddenRuntime:
         payload = {"op": "open", "fn_id": fn_id}
         if receiver is not None:
             payload["oid"] = receiver.oid
-        hid = self._request(payload, access=None, kind="open", sent=(fn_id,))
-        self._hid_fn[hid] = fn_id
-        return hid
+        return self._request(payload, None)
 
-    def close_activation(self, hid):
-        self._hid_fn.pop(hid, None)
-        if self.batching:
-            self._defer({"op": "close", "hid": hid}, kind="close", hid=hid,
-                        sent=())
-            return
-        self._request({"op": "close", "hid": hid}, access=None, kind="close", sent=())
+    def close_activation(self, hid, one_way=False):
+        self._post({"op": "close", "hid": hid}, None, one_way)
 
-    def notify_new_instance(self, obj):
+    def notify_new_instance(self, obj, one_way=False):
+        """Report a new instance of a split class; returns whether
+        ``obj``'s class is one (only then does a frame go out)."""
         if obj.class_name not in self._split_classes:
-            return
-        payload = {"op": "new_instance", "class": obj.class_name, "oid": obj.oid}
-        if self.batching:
-            self._defer(payload, kind="open", hid=None, sent=(obj.oid,))
-            return
-        self._request(payload, access=None, kind="open", sent=(obj.oid,))
+            return False
+        self._post({"op": "new_instance", "class": obj.class_name,
+                    "oid": obj.oid}, None, one_way)
+        return True
 
-    def call(self, hid, label, values, access):
-        payload = {"op": "call", "hid": hid, "label": label, "values": list(values)}
-        if self.batching and label in self._deferrable.get(
-            self._hid_fn.get(hid), ()
-        ):
-            self._defer(payload, kind="call", hid=hid, sent=tuple(values),
-                        label=label)
-            return 0  # the paper's "any" value: the open side ignores it
-        return self._request(payload, access=access, kind="call",
-                             sent=tuple(values), label=label)
+    def call(self, hid, label, values, access, one_way=False):
+        return self._post({"op": "call", "hid": hid, "label": label,
+                           "values": list(values)}, access, one_way)
 
     # -- plumbing --------------------------------------------------------------
+
+    def _post(self, payload, access, one_way):
+        if one_way:
+            self.outbox.append(payload)
+            return 0  # the paper's "any" value: the open side ignores it
+        return self._request(payload, access)
 
     def _stamp(self, payload):
         """Stamp an originated frame with the trace context; no-op (and no
@@ -1049,31 +1019,23 @@ class RemoteHiddenRuntime:
             payload["tc"] = [self.trace_id, self._tseq]
         return payload
 
-    def _defer(self, payload, kind, hid, sent, label=None):
-        self._outbox.append(payload)
-        self.channel.defer(kind, hid, "-", label, sent)
-
-    def _flush_outbox(self):
-        """Ship the outbox as one ``batch`` frame and await its single
-        reply.  Called before any request that needs an answer, so deferred
-        messages always reach the server before anything that could depend
-        on them."""
-        if not self._outbox:
-            return
-        msgs, self._outbox = self._outbox, []
-        reply, phases = self._exchange(
-            self._stamp({"op": "batch", "msgs": msgs}), None)
-        self.channel.flush_deferred(phases=phases, trace=self._trace_ctx())
-        if "error" in reply:
-            raise RuntimeErr("hidden server (deferred): %s" % reply["error"])
+    def ship(self):
+        """Send the outbox as one ``batch`` frame and await its single
+        reply; returns the server's error for a failed deferred message,
+        or ``None``."""
+        msgs, self.outbox = self.outbox, []
+        reply = self._exchange(self._stamp({"op": "batch", "msgs": msgs}),
+                               None)
+        return reply.get("error")
 
     def _exchange(self, payload, access):
         """Send one frame and read its reply, servicing callbacks on the
-        way; returns the reply and, traced, its decomposition into
-        serialize (dump + write), wire+queue, server execution (the
+        way; traced, leaves in :attr:`phases` the reply's decomposition
+        into serialize (dump + write), wire+queue, server execution (the
         reply's ``t`` field, which covers the callbacks), and reply
         deserialize (parse) — summing to the measured wall time by
         construction, see :func:`_phase_split`."""
+        self.phases = None
         t0 = time.perf_counter()
         _send(self._wfile, payload)
         t_sent = time.perf_counter()
@@ -1084,54 +1046,41 @@ class RemoteHiddenRuntime:
             if "cb" not in msg:
                 break
             self._answer_callback(msg, access)
-        if not self.trace:
-            return msg, None
-        return msg, _phase_split(t0, t_sent, t_line, time.perf_counter(),
-                                 msg.get("t", 0.0))
+        if self.trace:
+            self.phases = _phase_split(t0, t_sent, t_line, time.perf_counter(),
+                                       msg.get("t", 0.0))
+        return msg
 
-    def _request(self, payload, access, kind, sent, label=None):
-        self._flush_outbox()
-        msg, phases = self._exchange(self._stamp(payload), access)
+    def _request(self, payload, access):
+        msg = self._exchange(self._stamp(payload), access)
         if "error" in msg:
             raise RuntimeErr("hidden server: %s" % msg["error"])
-        result = msg.get("result")
-        self.channel.round_trip(kind, payload.get("hid"), "-", label, sent,
-                                result, phases=phases, trace=self._trace_ctx())
-        return result
+        return msg.get("result")
 
     def _answer_callback(self, msg, access):
         if access is None:
             _send(self._wfile, {"error": "no access window for callback"})
             return
+        reply = {"value": None}
         try:
             cb = msg["cb"]
             if cb == "fetch_index":
-                value = access.fetch_index(msg["name"], msg["index"])
+                reply["value"] = access.fetch_index(msg["name"], msg["index"])
             elif cb == "store_index":
                 access.store_index(msg["name"], msg["index"], msg["value"])
-                value = None
             elif cb == "fetch_field":
-                value = access.fetch_field(msg["name"], msg["field"])
+                reply["value"] = access.fetch_field(msg["name"], msg["field"])
             elif cb == "store_field":
                 access.store_field(msg["name"], msg["field"], msg["value"])
-                value = None
             elif cb == "fetch_batch":
-                values = access.fetch_batch(msg["items"])
-                self.channel.round_trip("cb_batch", None, "-", None, (), None,
-                                        trace=self._trace_ctx())
-                _send(self._wfile, {"values": values})
-                return
+                reply = {"values": access.fetch_batch(msg["items"])}
             else:
-                _send(self._wfile, {"error": "unknown callback %r" % cb})
-                return
+                reply = {"error": "unknown callback %r" % cb}
         except RuntimeErr as exc:
-            _send(self._wfile, {"error": str(exc)})
-            return
-        self.channel.round_trip("cb_" + cb.split("_")[0], None, "-", None, (),
-                                value, trace=self._trace_ctx())
-        _send(self._wfile, {"value": value})
+            reply = {"error": str(exc)}
+        _send(self._wfile, reply)
 
-    def _trace_ctx(self):
+    def trace_ctx(self):
         """The in-flight request's trace context, for its channel events
         and those of its callbacks (so attribution can fold them in)."""
         return (self.trace_id, self._tseq) if self.trace else None
@@ -1175,17 +1124,21 @@ def run_split_remote(split_program, address, entry="main", args=(),
     handshake outcome.  ``program`` selects a named program on a
     multi-tenant daemon (docs/OPERATIONS.md); ``cache=True`` requests the
     server-side fragment result cache (docs/CACHING.md).  Accounting
-    stays bit-identical either way."""
+    stays bit-identical either way, and equal to :func:`~repro.runtime.
+    splitrun.run_split`'s: the same :class:`~repro.runtime.channel.Link`
+    charges both."""
     runtime = RemoteHiddenRuntime(address, batching=batching, policy=policy,
                                   trace=trace, program=program, cache=cache)
     try:
+        link = runtime.link()
         interp = Interpreter(
-            split_program.program, hidden_runtime=runtime, max_steps=max_steps,
+            split_program.program, hidden_runtime=link, max_steps=max_steps,
             engine=engine,
         )
         value = interp.run(entry, args)
+        link.sync()  # what is still deferred goes out as a final batch
         result = RunResult(value, interp.output, interp.steps, 0,
-                           runtime.channel)
+                           link.channel)
         result.trace_sync = runtime.clock_sync
         return result
     finally:

@@ -8,11 +8,11 @@ recursive function stay separate) and destroyed by ``hclose``.
 Fragments run on a dedicated evaluator that resolves names in this order:
 fragment parameters / hidden variables (the activation environment), then —
 for aggregate accesses only — callbacks into the open component's memory
-through the :class:`~repro.runtime.interpreter.OpenAccess` window.  Every
-callback is charged to the channel as an extra interaction, reproducing the
-paper's observation for javac that hiding whole loops makes the number of
-inputs "varying ... in each iteration a different array element was being
-sent to the hidden side".
+through the call's access window.  The server only executes; the
+:class:`~repro.runtime.channel.Link` in front of it charges every callback
+as an extra interaction, reproducing the paper's observation for javac
+that hiding whole loops makes the number of inputs "varying ... in each
+iteration a different array element was being sent to the hidden side".
 """
 
 import threading
@@ -26,7 +26,7 @@ from repro.core.hidden import FragmentKind
 from repro.core.prefetch import resolve_prefetch, touches_open_aggregates
 from repro.core.purity import classify_fragment
 from repro.runtime.cache import CacheEntry, FragmentCache, tag_value
-from repro.runtime.channel import Channel, LatencyModel
+from repro.runtime.channel import Channel, LatencyModel, Link
 # control flow is shared with the compiled engine (repro.runtime.compile)
 from repro.runtime.compile import (
     DEFAULT_ENGINE,
@@ -51,8 +51,6 @@ from repro.lang.typecheck import BUILTIN_SIGNATURES
 #: per-side step and statement counters are the interpreter's
 M_ACTIVATIONS = declare("repro_server_activations_total", "counter",
                         "activation lifecycle events", ("event",))
-M_CALLS = declare("repro_server_calls_total", "counter",
-                  "fragment executions per ILP", ("fn", "label"))
 M_FRAGMENT_STEPS = declare("repro_server_fragment_steps", "histogram",
                            "hidden statements executed per fragment call",
                            ("fn", "label"), buckets=STEP_BUCKETS)
@@ -202,53 +200,55 @@ class Tenant:
                     )
         return facts
 
-    def new_server(self, channel=None, engine=DEFAULT_ENGINE,
-                   max_steps=20_000_000, batching=False, cache=False):
+    def new_server(self, engine=DEFAULT_ENGINE, max_steps=20_000_000,
+                   batching=False, cache=False):
         """A fresh :class:`HiddenServer` over this tenant's facts, with
         private copies of the initial hidden state (see
         :class:`HiddenServer` for the options)."""
-        return HiddenServer(
-            self,
+        return HiddenServer(self, max_steps=max_steps, batching=batching,
+                            engine=engine, cache=cache)
+
+    def new_link(self, channel=None, batching=False, **options):
+        """A fresh in-process session: a :class:`~repro.runtime.channel.
+        Link` charging ``channel`` (an unrecorded instant one by default)
+        in front of a new :class:`HiddenServer` (``options`` as for
+        :meth:`new_server`; ``batching`` turns on both halves)."""
+        return Link(
+            self.new_server(batching=batching, **options),
             channel or Channel(LatencyModel.instant(), record=False),
-            max_steps=max_steps,
+            {fn_id: name for name, fn_id in self.functions.items()},
+            lambda fn_id, label: self.facts(fn_id, label).one_way(),
             batching=batching,
-            engine=engine,
-            cache=cache,
         )
 
 
 class Activation:
     """Hidden state of one live instance of a split function."""
 
-    __slots__ = ("hid", "fn_id", "fn_name", "env", "receiver_oid")
+    __slots__ = ("fn_id", "env", "receiver_oid")
 
-    def __init__(self, hid, fn_id, fn_name, receiver_oid=None):
-        self.hid = hid
+    def __init__(self, fn_id, receiver_oid=None):
         self.fn_id = fn_id
-        self.fn_name = fn_name
         self.env = {}
         self.receiver_oid = receiver_oid
 
 
 class HiddenServer:
-    """Serves fragment executions for a split program."""
+    """Serves fragment executions for a split program.  It only executes:
+    the :class:`~repro.runtime.channel.Link` in front of it (in process,
+    or per daemon session) decides what crosses the channel."""
 
-    def __init__(self, tenant, channel, max_steps=20_000_000,
-                 batching=False, engine=DEFAULT_ENGINE, cache=False):
+    def __init__(self, tenant, max_steps=20_000_000, batching=False,
+                 engine=DEFAULT_ENGINE, cache=False):
         """Built by :meth:`Tenant.new_server` only: ``tenant`` supplies the
         fragment registry and its derived facts, and the initial values
         of hidden globals (global-hiding mode) and of the hidden fields of
         split classes — per-instance hidden state is created when the open
         component reports ``new`` (the paper's instance-id protocol).
 
-        ``batching`` enables the communication optimisation layer
-        (docs/PROTOCOL.md): one-way messages (``close``, ``new_instance``,
-        and calls to ``set``/``stmts`` fragments that never touch open
-        aggregates) are deferred on the channel and coalesced into single
-        ``batch`` round trips, and fragments with prefetch manifests pull
-        open-memory reads through one ``fetch_batch`` callback per
-        statement execution.  Off by default: without it, channel traffic
-        is bit-identical to the paper's one-message-per-interaction model.
+        ``batching`` turns on prefetch (docs/PROTOCOL.md): fragments with
+        prefetch manifests pull open-memory reads through one
+        ``fetch_batch`` callback per statement execution.
 
         ``engine`` selects the fragment execution strategy (docs/ENGINE.md):
         ``"compiled"`` (default) lowers each fragment to closures on first
@@ -264,7 +264,6 @@ class HiddenServer:
         server's own, labelled with the tenant's name.
         """
         self.tenant = tenant
-        self.channel = channel
         self.activations = {}
         self.steps = 0
         self.max_steps = max_steps
@@ -279,7 +278,6 @@ class HiddenServer:
         self._recorder = obs.get_recorder()
         if registry is not None:
             self._m_activations = registry.family(M_ACTIVATIONS)
-            self._m_calls = registry.family(M_CALLS)
             self._m_fragment_steps = registry.family(M_FRAGMENT_STEPS)
             self._m_steps = registry.family(M_STEPS)
             self._m_stmts = registry.family(M_STMTS)
@@ -287,51 +285,34 @@ class HiddenServer:
     # -- activation management -------------------------------------------------
 
     def open_activation(self, fn_id, receiver=None):
-        entry = self.tenant.registry.get(fn_id)
-        if entry is None:
+        if fn_id not in self.tenant.registry:
             raise RuntimeErr("hidden server: unknown function id %r" % fn_id)
         hid = self._next_hid
         self._next_hid += 1
-        fn_name = entry[0]
-        receiver_oid = receiver.oid if receiver is not None else None
-        self.activations[hid] = Activation(hid, fn_id, fn_name, receiver_oid)
+        self.activations[hid] = Activation(
+            fn_id, receiver.oid if receiver is not None else None)
         if self._registry is not None:
             self._m_activations.child("open").inc()
-        self.channel.round_trip("open", hid, fn_name, None, (fn_id,), hid)
         return hid
 
     def close_activation(self, hid):
         activation = self.activations.pop(hid, None)
-        if activation is not None:
-            if self._registry is not None:
-                self._m_activations.child("close").inc()
-            if self.batching:
-                # hclose returns nothing: a pure send, safe to coalesce
-                self.channel.defer("close", hid, activation.fn_name, None, ())
-            else:
-                self.channel.round_trip(
-                    "close", hid, activation.fn_name, None, (), None
-                )
+        if activation is not None and self._registry is not None:
+            self._m_activations.child("close").inc()
 
     def notify_new_instance(self, obj):
         """The class-splitting instance-id protocol: when the open component
         instantiates a split class, the server creates the corresponding
-        hidden field storage under the same instance id."""
+        hidden field storage under the same instance id.  Returns whether
+        the class is split (only then is there anything to report)."""
         fields = self.tenant.hidden_field_classes.get(obj.class_name)
         if fields is None:
-            return
+            return False
         self.instances[obj.oid] = dict(fields)
         if self.cache is not None:
             # new hidden field storage came into existence: a store write
             self.cache.invalidate(fn=obj.class_name)
-        if self.batching:
-            # the open side never reads the echoed oid; any call that could
-            # touch the new instance flushes the batch first
-            self.channel.defer("open", None, obj.class_name, None, (obj.oid,))
-        else:
-            self.channel.round_trip(
-                "open", None, obj.class_name, None, (obj.oid,), obj.oid
-            )
+        return True
 
     # -- result caching ----------------------------------------------------------
 
@@ -424,10 +405,6 @@ class HiddenServer:
                 activation, facts, label, access, env, stmt_counts,
                 steps_before, wall_t0, cache, verdict, cache_key,
             )
-        if self.batching and facts.one_way():
-            self.channel.defer("call", hid, fn_name, label, values)
-        else:
-            self.channel.round_trip("call", hid, fn_name, label, values, result)
         return result
 
     def _execute(self, activation, facts, label, access, env, stmt_counts,
@@ -436,7 +413,6 @@ class HiddenServer:
         caching disabled), filling the cache when the call was keyable."""
         fragment = facts.fragment
         fn_name = facts.fn_name
-        hid = activation.hid
         exec_env = env
         if cache_key is not None:
             # a filling execution runs against a write-tracking copy: the
@@ -447,14 +423,10 @@ class HiddenServer:
             # name differs then fails to re-apply the write.
             exec_env = _WriteTrackingEnv(env)
         stmt_prefetch, result_reads = None, ()
-        if (
-            self.batching
-            and access is not None
-            and hasattr(access, "fetch_batch")
-        ):
+        if self.batching and access is not None:
             stmt_prefetch, result_reads = facts.prefetch()
         evaluator = _FragmentEvaluator(
-            self, exec_env, access, hid, fn_name, facts.storage,
+            self, exec_env, access, fn_name, facts.storage,
             activation.receiver_oid, stmt_counts=stmt_counts,
             prefetch_map=stmt_prefetch,
         )
@@ -526,9 +498,7 @@ class HiddenServer:
         """One call's metrics and flight-recorder event, alike for a real
         execution (an aborted one too) and a cache replay."""
         if self._registry is not None:
-            label_str = str(label)
-            self._m_calls.child(fn_name, label_str).inc()
-            self._m_fragment_steps.child(fn_name, label_str).observe(steps)
+            self._m_fragment_steps.child(fn_name, str(label)).observe(steps)
             self._m_steps.child("hidden").inc(steps)
             stmts = self._m_stmts
             for kind, count in stmt_counts.items():
@@ -572,12 +542,11 @@ class _FragmentEvaluator:
     other names are activation-local (parameters and hidden locals).
     """
 
-    def __init__(self, server, env, access, hid, fn_name, storage_map=None,
+    def __init__(self, server, env, access, fn_name, storage_map=None,
                  receiver_oid=None, stmt_counts=None, prefetch_map=None):
         self.server = server
         self.env = env
         self.access = access
-        self.hid = hid
         self.fn_name = fn_name
         self.storage_map = storage_map or {}
         self.receiver_oid = receiver_oid
@@ -670,12 +639,12 @@ class _FragmentEvaluator:
                 if not isinstance(target.base, ast.VarRef):
                     raise RuntimeErr("hidden fragment: complex array target")
                 index = self.eval_expr(target.index)
-                self._cb_store_index(target.base.name, index, value)
+                self.access.store_index(target.base.name, index, value)
                 return
             if isinstance(target, ast.FieldAccess):
                 if not isinstance(target.obj, ast.VarRef):
                     raise RuntimeErr("hidden fragment: complex field target")
-                self._cb_store_field(target.obj.name, target.name, value)
+                self.access.store_field(target.obj.name, target.name, value)
                 return
             raise RuntimeErr("hidden fragment: bad assignment target")
         if isinstance(stmt, ast.If):
@@ -757,7 +726,7 @@ class _FragmentEvaluator:
             if not isinstance(expr.base, ast.VarRef):
                 raise RuntimeErr("hidden fragment: complex array base")
             index = self.eval_expr(expr.index)
-            return self._cb_fetch_index(expr.base.name, index)
+            return self.access.fetch_index(expr.base.name, index)
         if isinstance(expr, ast.FieldAccess):
             if self._batch_cache:
                 cached = self._batch_cache.get(id(expr), _MISSING)
@@ -765,7 +734,7 @@ class _FragmentEvaluator:
                     return cached
             if not isinstance(expr.obj, ast.VarRef):
                 raise RuntimeErr("hidden fragment: complex field object")
-            return self._cb_fetch_field(expr.obj.name, expr.name)
+            return self.access.fetch_field(expr.obj.name, expr.name)
         raise RuntimeErr("hidden fragment cannot evaluate %r" % (expr,))
 
     # -- callbacks into open memory -----------------------------------------------------
@@ -777,7 +746,10 @@ class _FragmentEvaluator:
         manifest eligibility they are pure and aggregate-free, so this
         matches what the inline evaluation would have computed.  Fetched
         values are cached per read *node*; :meth:`eval_expr` consumes the
-        cache instead of issuing individual callbacks.
+        cache instead of issuing individual callbacks.  The reply has one
+        value per read: the Link's window refuses any other arity, which
+        would partially populate the cache and silently fall back to
+        unbatched callbacks.
         """
         try:
             items = []
@@ -789,21 +761,6 @@ class _FragmentEvaluator:
                 else:
                     items.append(("field", node.obj.name, node.name))
             values = self.access.fetch_batch(items)
-            if len(values) != len(items):
-                # a short (or long) reply must not partially populate the
-                # cache: later reads would silently fall back to unbatched
-                # callbacks, changing the observable traffic
-                raise RuntimeErr(
-                    "hidden fragment of %s: fetch_batch returned %d values "
-                    "for %d reads" % (self.fn_name, len(values), len(items))
-                )
-            sent = []
-            for _kind, name, key in items:
-                sent.append(name)
-                sent.append(key)
-            self.server.channel.round_trip(
-                "cb_batch", self.hid, self.fn_name, None, tuple(sent), None
-            )
             for node, value in zip(reads, values):
                 self._batch_cache[id(node)] = value
         except BaseException:
@@ -814,32 +771,6 @@ class _FragmentEvaluator:
 
     def clear_batch_cache(self):
         self._batch_cache.clear()
-
-    def _cb_fetch_index(self, name, index):
-        value = self.access.fetch_index(name, index)
-        self.server.channel.round_trip(
-            "cb_fetch", self.hid, self.fn_name, None, (name, index), value
-        )
-        return value
-
-    def _cb_store_index(self, name, index, value):
-        self.access.store_index(name, index, value)
-        self.server.channel.round_trip(
-            "cb_store", self.hid, self.fn_name, None, (name, index, value), None
-        )
-
-    def _cb_fetch_field(self, name, field):
-        value = self.access.fetch_field(name, field)
-        self.server.channel.round_trip(
-            "cb_fetch", self.hid, self.fn_name, None, (name, field), value
-        )
-        return value
-
-    def _cb_store_field(self, name, field, value):
-        self.access.store_field(name, field, value)
-        self.server.channel.round_trip(
-            "cb_store", self.hid, self.fn_name, None, (name, field, value), None
-        )
 
 
 # -- profiling frame tags ------------------------------------------------------

@@ -82,8 +82,8 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
               max_steps=20_000_000, batching=False, engine=DEFAULT_ENGINE,
               cache=False):
     """Execute a split program: open components in the interpreter, hidden
-    fragments on a :class:`~repro.runtime.server.HiddenServer`, through an
-    accounting channel.
+    fragments on a :class:`~repro.runtime.server.HiddenServer`, behind the
+    :class:`~repro.runtime.channel.Link` that charges the channel.
 
     ``batching=True`` turns on the communication optimisation layer (send
     coalescing + callback batching, docs/PROTOCOL.md); results and output
@@ -98,11 +98,11 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
     with obs.span("run.split", entry=entry):
         channel = Channel(latency or LatencyModel.lan(), record=record)
         # a fresh tenant per run: nothing derived is shared across runs
-        server = Tenant.from_program("default", split_program).new_server(
+        link = Tenant.from_program("default", split_program).new_link(
             channel, engine=engine, max_steps=max_steps, batching=batching,
             cache=cache,
         )
-        interp = Interpreter(split_program.program, hidden_runtime=server,
+        interp = Interpreter(split_program.program, hidden_runtime=link,
                              max_steps=max_steps, engine=engine)
         try:
             value = interp.run(entry, args)
@@ -111,11 +111,12 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
             # an aborted run (step limit, runtime error, SIGINT), so the
             # transcript, metrics, and flight recorder stay consistent with
             # what actually crossed the channel
-            channel.flush_deferred()
+            link.sync()
     registry = obs.active_registry()
     if registry is not None:
         registry.counter(M_RUNS, mode="split").inc()
-    return RunResult(value, interp.output, interp.steps, server.steps, channel)
+    return RunResult(value, interp.output, interp.steps, link.hidden.steps,
+                     channel)
 
 
 class EquivalenceError(AssertionError):

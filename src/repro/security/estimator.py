@@ -66,7 +66,7 @@ class ILPComplexity:
     @property
     def key(self):
         """``(fn, label)`` — matches the ``fn``/``label`` label pair on
-        ``repro_channel_values_total`` and ``repro_server_calls_total``,
+        ``repro_channel_values_total`` and ``repro_server_fragment_steps``,
         so runtime observations join to this static estimate
         (:mod:`repro.obs.audit`)."""
         return (self.fn_name or "-", str(self.ilp.label))

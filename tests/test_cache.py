@@ -273,12 +273,13 @@ def _observed_run(sp, cache):
     ``server.cache.stats()``)."""
     with obs.telemetry() as (registry, _tracer):
         channel = Channel(LatencyModel.instant(), record=True)
-        server = Tenant.from_program("default", sp).new_server(
+        link = Tenant.from_program("default", sp).new_link(
             channel, cache=cache
         )
-        interp = Interpreter(sp.program, hidden_runtime=server)
+        server = link.hidden
+        interp = Interpreter(sp.program, hidden_runtime=link)
         value = interp.run("main", (0,))
-        channel.flush_deferred()
+        link.sync()
         observed = {
             "value": value,
             "output": list(interp.output),
@@ -372,8 +373,7 @@ def test_write_only_name_replayed_even_when_value_was_already_there():
     registry = {0: ("f", fragments, {})}
 
     def run(cache):
-        channel = Channel(LatencyModel.instant(), record=False)
-        server = Tenant("f", registry).new_server(channel, cache=cache)
+        server = Tenant("f", registry).new_server(cache=cache)
         out = []
         for seed in (-2, 7):  # first fill happens with v == -2 already
             hid = server.open_activation(0)
@@ -469,12 +469,12 @@ def test_no_partial_traffic_before_arity_check(monkeypatch):
     monkeypatch.setattr(OpenAccess, "fetch_batch", short_reply)
     with obs.telemetry():
         channel = Channel(LatencyModel.instant(), record=True)
-        server = Tenant.from_program("default", sp).new_server(
+        link = Tenant.from_program("default", sp).new_link(
             channel, batching=True
         )
-        interp = Interpreter(sp.program, hidden_runtime=server)
+        interp = Interpreter(sp.program, hidden_runtime=link)
         with pytest.raises(RuntimeErr):
             interp.run("main", (3,))
-        channel.flush_deferred()
+        link.sync()
     kinds = [e.kind for e in channel.transcript.events]
     assert "cb_batch" not in kinds

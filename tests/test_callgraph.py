@@ -122,3 +122,103 @@ def test_cut_skips_loop_called_and_recursive():
 def test_cut_falls_back_to_entry():
     cg = graph("func void main() { print(1); }")
     assert select_cut(cg) == ["main"]
+
+
+# -- loop nesting tracked in the one statement walk ------------------------------
+
+
+def _reference_sites(program, checker):
+    """The call sites as the builder found them when every site searched
+    the function body again from the root for its loop nesting; kept here
+    as the reference the single-walk builder must reproduce."""
+    from repro.analysis import callgraph as cg_mod
+    from repro.lang import ast
+    from repro.lang.typecheck import BUILTIN_SIGNATURES
+
+    def search(body, target, inside):
+        for s in body:
+            if s is target:
+                return inside
+            if isinstance(s, ast.If):
+                for sub in (s.then_body, s.else_body):
+                    found = search(sub, target, inside)
+                    if found is not None:
+                        return found
+            elif isinstance(s, ast.While):
+                found = search(s.body, target, True)
+                if found is not None:
+                    return found
+            elif isinstance(s, ast.For):
+                if target is s.init or target is s.update:
+                    return True
+                found = search(s.body, target, True)
+                if found is not None:
+                    return found
+            elif isinstance(s, ast.Block):
+                found = search(s.body, target, inside)
+                if found is not None:
+                    return found
+        return None
+
+    methods_by_name = {}
+    for cls in program.classes:
+        for m in cls.methods:
+            methods_by_name.setdefault(m.name, []).append(m)
+    sites = []
+    for fn in program.all_functions():
+        for stmt in ast.walk_stmts(fn.body):
+            for expr in ast.stmt_exprs(stmt):
+                if isinstance(expr, ast.Call):
+                    if expr.name in BUILTIN_SIGNATURES:
+                        continue
+                    callee = cg_mod._resolve_free_call(program, fn, expr.name)
+                elif isinstance(expr, ast.MethodCall):
+                    callee = cg_mod._resolve_method_call(
+                        program, checker, methods_by_name, expr)
+                else:
+                    continue
+                sites.append((fn.qualified_name, callee, id(expr),
+                              search(fn.body, stmt, False)))
+    return sites
+
+
+def _assert_matches_reference(program, checker):
+    cg = build_callgraph(program, checker)
+    reference = _reference_sites(program, checker)
+    assert [(s.caller, s.callee, id(s.expr), s.in_loop)
+            for s in cg.call_sites] == reference
+    assert cg.called_in_loop == {
+        callee for _caller, callee, _expr, in_loop in reference
+        if in_loop and callee in cg.functions}
+
+
+def test_loop_nesting_matches_reference_on_table5_corpora():
+    from repro.workloads.corpora import build_corpus
+    from repro.workloads.inputs import TABLE5_RUNS
+
+    for name in sorted({run.benchmark for run in TABLE5_RUNS}):
+        corpus = build_corpus(name)
+        _assert_matches_reference(corpus.program, corpus.checker)
+
+
+def test_loop_nesting_matches_reference_on_fuzz_programs():
+    from repro.fuzz.generate import generate_program
+
+    for seed in range(50):
+        program, _args = generate_program(seed)
+        _assert_matches_reference(program, check_program(program))
+
+
+def test_for_init_and_update_count_as_in_loop():
+    cg = graph(
+        """
+        func int a() { return 1; } func int b() { return 2; }
+        func int c() { return 3; } func int d() { return 4; }
+        func void main() {
+            int s = 0;
+            for (int i = a(); i < d(); i = i + b()) { s = s + c(); }
+            print(s);
+        }
+        """
+    )
+    assert cg.called_in_loop == {"a", "b", "c"}

@@ -87,8 +87,7 @@ def test_record_false_disables_transcript():
 
 def test_server_activation_lifecycle():
     _, sp = split()
-    channel = Channel(LatencyModel.instant())
-    server = Tenant("f", sp.registry()).new_server(channel)
+    server = Tenant("f", sp.registry()).new_server()
     hid = server.open_activation(0)
     assert hid in server.activations
     server.close_activation(hid)

@@ -191,7 +191,6 @@ STABLE_METRIC_NAMES = {
     "repro_channel_rtt_simulated_ms",
     "repro_channel_simulated_ms_total",
     "repro_server_activations_total",
-    "repro_server_calls_total",
     "repro_server_fragment_steps",
     "repro_steps_total",
     "repro_stmt_executions_total",

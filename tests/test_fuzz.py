@@ -22,6 +22,7 @@ from repro.fuzz.generate import GenConfig, generate_program
 from repro.lang import check_program, parse_program
 from repro.lang.pretty import pretty
 from repro.runtime import ENGINES
+from repro.runtime.channel import Channel, LatencyModel
 from repro.runtime.remote import RemoteHiddenRuntime
 from repro.runtime.splitrun import run_original
 
@@ -178,20 +179,57 @@ class _CloseRecordedAsOpen:
             "open" if kind == "close" else kind, *args, **kwargs)
 
 
+class _CallbackIndexOffByOne(_CloseRecordedAsOpen):
+    """A client channel that books each array callback one element off:
+    kinds and counts stay right, only the values sent are wrong."""
+
+    def round_trip(self, kind, hid, fn_name, label, sent, *args, **kwargs):
+        if kind in ("cb_fetch", "cb_store") and type(sent[1]) is int:
+            sent = (sent[0], sent[1] + 1) + tuple(sent[2:])
+        return self._channel.round_trip(kind, hid, fn_name, label, sent,
+                                        *args, **kwargs)
+
+
+def _plant_socket_channel(monkeypatch, wrapper):
+    """Put ``wrapper`` around the channel of every TCP run's Link."""
+    link = RemoteHiddenRuntime.link
+
+    def buggy_link(self, channel=None):
+        return link(self, wrapper(Channel(LatencyModel.instant())))
+
+    monkeypatch.setattr(RemoteHiddenRuntime, "link", buggy_link)
+
+
 def test_socket_transcript_bug_diverges_socket_cells_only(monkeypatch):
-    init = RemoteHiddenRuntime.__init__
-
-    def buggy_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.channel = _CloseRecordedAsOpen(self.channel)
-
-    monkeypatch.setattr(RemoteHiddenRuntime, "__init__", buggy_init)
+    _plant_socket_channel(monkeypatch, _CloseRecordedAsOpen)
     source = pretty(generate_program(0)[0])
     result = oracle.run_matrix(source, [(0, 0), (2, -3)])
     assert result.diverged
     cells = {c.name: c for c in oracle.CONFIGS}
     assert {d.kind for d in result.divergences} == {"transcript"}
     assert all(cells[d.config].socket for d in result.divergences)
+
+
+def test_socket_callback_value_bug_is_caught_by_whole_event_compare(
+        monkeypatch):
+    _plant_socket_channel(monkeypatch, _CallbackIndexOffByOne)
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "examples", "programs", "dotproduct.mj")
+    with open(path) as f:
+        source = f.read()
+    result = oracle.run_matrix(source, [(3,)], choices=[("f", "a")])
+    cells = {c.name: c for c in oracle.CONFIGS}
+    assert {d.kind for d in result.divergences} == {"transcript"}
+    assert all(cells[d.config].socket for d in result.divergences)
+    assert "cb_fetch" in result.divergences[0].detail
+    # every cell still makes the same kinds of round trips in the same
+    # order: a rule comparing event kinds alone would pass this bug
+    for batching in (False, True):
+        kinds = {tuple(e[0] for e in obs_.events)
+                 for (name, _args), obs_ in result.observations.items()
+                 if name in cells and cells[name].split
+                 and cells[name].batching == batching}
+        assert len(kinds) == 1
 
 
 # -- minimizer ---------------------------------------------------------------

@@ -202,7 +202,9 @@ def test_perfbench_fragment_timer_works_with_telemetry_on_and_off(monkeypatch):
     with obs.telemetry() as (reg, _tracer):
         run_split(sp, args=(4,))
     timed = reg.histogram(probes.FRAGMENT_SECONDS)
-    assert timed.count == reg.total("repro_server_calls_total") > 0
+    executions = sum(m.count for m in reg.collect()
+                     if m.name == "repro_server_fragment_steps")
+    assert timed.count == executions > 0
 
 
 # -- tracing -----------------------------------------------------------------

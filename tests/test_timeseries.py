@@ -189,8 +189,6 @@ def _canned_doc():
             "t": t,
             "health": health,
             "metrics": [
-                {"name": "repro_remote_ops_total", "type": "counter",
-                 "labels": {"program": "prog"}, "value": ops},
                 {"name": "repro_remote_exec_seconds", "type": "histogram",
                  "labels": {"program": "prog"}, "count": ops, "sum": 0.01,
                  "quantiles": {"p50": 0.0001, "p95": 0.0005, "p99": 0.001}},
@@ -265,8 +263,9 @@ def test_cli_top_renders_snapshot_file(tmp_path):
 
 def test_cli_top_once_against_live_daemon(live_server):
     server, registry = live_server
-    registry.counter("repro_remote_ops_total", help="ops",
-                     program="alpha").inc(4)
+    for _ in range(4):
+        registry.histogram("repro_remote_exec_seconds",
+                           program="alpha").observe(0.001)
     series = TimeSeries(maxlen=4, interval_s=1.0)
     series.add(timeseries.snapshot(registry))
     server.timeseries = series
@@ -287,8 +286,9 @@ def test_cli_top_unreachable_source_fails_cleanly(tmp_path):
 
 def test_scrape_timeseries_reduces_ring(live_server):
     server, registry = live_server
-    registry.counter("repro_remote_ops_total", help="ops",
-                     program="alpha").inc(7)
+    for _ in range(7):
+        registry.histogram("repro_remote_exec_seconds",
+                           program="alpha").observe(0.001)
     registry.counter("repro_other_total", help="noise").inc(9)
     series = TimeSeries(maxlen=4, interval_s=1.0)
     series.add({"t": 1.0, "health": "ok", "metrics": []})  # before the run
@@ -299,7 +299,7 @@ def test_scrape_timeseries_reduces_ring(live_server):
     assert out is not None
     assert len(out["snapshots"]) == 1  # `since` dropped the stale slot
     samples = out["snapshots"][0]["samples"]
-    assert samples["repro_remote_ops_total{program=alpha}"] == 7
+    assert samples["repro_remote_exec_seconds{program=alpha}"] == 7
     assert not any(k.startswith("repro_other") for k in samples)
 
 
