@@ -6,9 +6,14 @@ Splitting Details"): calls placed in the open component ``Of`` name the
 label and carry an array of values; the fragment executes against the hidden
 activation state and returns a single value (an arbitrary ``any`` when the
 open side does not need one).
+
+``Hf`` only reads open memory: a store to an array element or a field
+stays in ``Of`` (the splitter's case (iii)).  :class:`HiddenFragment`
+refuses a body that would write one, whoever builds it — the splitter, a
+deployment manifest's loader or a hand-built registry.
 """
 
-from repro.lang import pretty_stmt, pretty_expr
+from repro.lang import ast, pretty_stmt, pretty_expr
 
 
 class FragmentKind:
@@ -35,6 +40,8 @@ class HiddenFragment:
     callbacks (see :mod:`repro.core.prefetch`).  ``None`` means "not yet
     computed"; the hidden server derives one on demand so hand-built
     fragments batch too.
+
+    A body assigning to an array element or a field raises ``ValueError``.
     """
 
     def __init__(self, label, kind, params=None, param_exprs=None, body=None,
@@ -45,6 +52,7 @@ class HiddenFragment:
         self.params = list(params or [])
         self.param_exprs = list(param_exprs or [])
         self.body = list(body or [])
+        _refuse_open_stores(label, self.body)
         self.result_expr = result_expr
         self.set_var = set_var
         #: original AST statements this fragment was carved from
@@ -74,6 +82,17 @@ class HiddenFragment:
 
     def __repr__(self):
         return "<HiddenFragment %d %s params=%s>" % (self.label, self.kind, self.params)
+
+
+def _refuse_open_stores(label, body):
+    for stmt in ast.walk_stmts(body):
+        if isinstance(stmt, ast.Assign) and isinstance(
+            stmt.target, (ast.Index, ast.FieldAccess)
+        ):
+            raise ValueError(
+                "hidden fragment %s stores into open memory: %s"
+                % (label, pretty_stmt(stmt).strip())
+            )
 
 
 class ILPSite:

@@ -28,9 +28,10 @@ observable behaviour:
   mean the original run never touched them — prefetching could fault on
   an index the program guards against);
 * only ``Assign``/``VarDecl`` statements and fragment result expressions
-  carry manifests: their reads all happen before any store the statement
-  performs, so a batched fetch at statement entry sees exactly the state
-  the individual fetches would have seen.
+  carry manifests: their reads all happen before the statement writes
+  its (hidden) target, and a fragment never writes open memory, so a
+  batched fetch at statement entry sees exactly the state the individual
+  fetches would have seen.
 
 Manifests are path-based and therefore JSON-serialisable: deployment
 manifests (:mod:`repro.core.deploy`) ship them with the fragments so a
@@ -114,8 +115,7 @@ def _expr_read_paths(expr, path, conditional, out):
         for i, arg in enumerate(expr.args):
             _expr_read_paths(arg, path + [["arg", i]], conditional, out)
     elif isinstance(expr, ast.Index):
-        # ineligible read (or nested store target): its index may still
-        # contain eligible inner reads
+        # ineligible read: its index may still contain eligible inner reads
         _expr_read_paths(expr.index, path + [["index", None]], conditional, out)
     elif isinstance(expr, ast.FieldAccess):
         pass  # obj must be a VarRef for the evaluator; nothing inside
@@ -125,19 +125,14 @@ def _expr_read_paths(expr, path, conditional, out):
 
 def _stmt_read_paths(stmt):
     """Paths of batchable reads evaluated unconditionally by an
-    ``Assign``/``VarDecl`` — the value/init expression plus, for aggregate
-    stores, the index subexpression of the target (the target itself is a
-    store, never prefetched)."""
+    ``Assign``/``VarDecl``: those of its value/init expression (a fragment
+    assigns only to names, so the target reads nothing)."""
     out = []
     if isinstance(stmt, ast.VarDecl):
         if stmt.init is not None:
             _expr_read_paths(stmt.init, [["init", None]], False, out)
     elif isinstance(stmt, ast.Assign):
         _expr_read_paths(stmt.value, [["value", None]], False, out)
-        if isinstance(stmt.target, ast.Index):
-            _expr_read_paths(
-                stmt.target.index, [["target", None], ["index", None]], False, out
-            )
     return out
 
 
@@ -204,7 +199,6 @@ _EXPR_FIELDS = {
     "size": "size",
     "value": "value",
     "init": "init",
-    "target": "target",
 }
 
 

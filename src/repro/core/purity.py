@@ -11,8 +11,10 @@ without re-analysis.
 
 A fragment is **cacheable** iff all of the following hold:
 
-* it performs no open-memory access at all — no ``Index``/``FieldAccess``
-  reads or stores, so executing it issues no callbacks.  Callbacks must
+* it reads no open memory — no ``Index``/``FieldAccess`` (a fragment
+  never stores into open memory:
+  :class:`~repro.core.hidden.HiddenFragment` refuses it), so executing
+  it issues no callbacks.  Callbacks must
   observe the open component's memory *as it is at call time*; a cache
   hit that skipped (or worse, replayed) them would change the adversary-
   observable traffic the Section 3 argument is about;
@@ -117,7 +119,7 @@ def _fragment_exprs(fragment):
     ``VarRef`` nodes (writes, not reads) collected separately."""
     write_targets = set()
     for stmt in ast.walk_stmts(fragment.body):
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.VarRef):
+        if isinstance(stmt, ast.Assign):
             write_targets.add(id(stmt.target))
     exprs = []
     for stmt in ast.walk_stmts(fragment.body):
@@ -145,7 +147,7 @@ def classify_fragment(fragment, storage_map=None):
         if not isinstance(stmt, _KNOWN_STMTS):
             block("unsupported statement %s" % type(stmt).__name__)
             continue
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.target, ast.VarRef):
+        if isinstance(stmt, ast.Assign):
             if storage_map.get(stmt.target.name) in ("global", "field"):
                 writes_store = True
                 block("writes hidden store (%s)" % stmt.target.name)

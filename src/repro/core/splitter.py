@@ -18,7 +18,9 @@ Statement treatment follows the paper's four cases:
       and sends the value (a ``set`` fragment);
 (iii) only the rhs in ``Hf`` (lhs is an array element / field / ``return``):
       an ``expr`` fragment computes the value, ``Of`` stores it — an
-      information leak point;
+      information leak point.  ``Hf`` therefore never writes open memory:
+      :class:`~repro.core.hidden.HiddenFragment` refuses a body that
+      would, and the splitter reports that as a :class:`SplitError`;
 (iv)  neither: the statement stays in ``Of``, with hidden-variable reads
       replaced by ``get`` fragment fetches.
 
@@ -274,14 +276,17 @@ class _Splitter:
         body = [clone_stmt(s) for s in source_stmts]
         params = self._collect_open_reads(body)
         label = self._new_label()
-        frag = HiddenFragment(
-            label,
-            FragmentKind.STMTS,
-            params=params,
-            param_exprs=[ast.VarRef(p) for p in params],
-            body=body,
-            source_stmts=list(source_stmts),
-        )
+        try:
+            frag = HiddenFragment(
+                label,
+                FragmentKind.STMTS,
+                params=params,
+                param_exprs=[ast.VarRef(p) for p in params],
+                body=body,
+                source_stmts=list(source_stmts),
+            )
+        except ValueError as exc:  # a store into open memory
+            raise SplitError(str(exc)) from None
         frag.prefetch = collect_prefetch(frag)
         self.fragments[label] = frag
         return frag

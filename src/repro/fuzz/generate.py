@@ -22,8 +22,10 @@ Every generated program is correct by construction:
 
 Feature coverage goes well beyond ``tests/genprograms.py``: classes
 with fields and methods (method splitting + the paper's instance ids),
-global variables, a second callee function, nested counted loops with
-guarded ``break``, and several candidate hidden variables per function.
+a function reading an object parameter's fields (so hidden fragments
+read open fields back through ``fetch_field`` callbacks), global
+variables, a second callee function, nested counted loops with guarded
+``break``, and several candidate hidden variables per function.
 """
 
 import random
@@ -97,7 +99,8 @@ class Scope:
     reject writes)."""
 
     def __init__(self, ints=(), bools=(), arrays=(), callees=(),
-                 writable_ints=None, writable_bools=None, in_loop=False):
+                 writable_ints=None, writable_bools=None, in_loop=False,
+                 fields=()):
         self.ints = list(ints)          # readable int names
         self.bools = list(bools)        # readable bool names
         self.writable_ints = list(ints if writable_ints is None
@@ -105,6 +108,7 @@ class Scope:
         self.writable_bools = list(bools if writable_bools is None
                                    else writable_bools)
         self.arrays = list(arrays)      # int[] names of length ARRAY_LEN
+        self.fields = list(fields)      # readable (object, int field) pairs
         self.indices = []               # loop vars provably < ARRAY_LEN
         self.callees = list(callees)    # (name, n_int_args) callable here
         self.in_loop = in_loop
@@ -128,7 +132,8 @@ class Scope:
     def nested(self, index_var=None):
         inner = Scope(self.ints, self.bools, self.arrays, self.callees,
                       writable_ints=self.writable_ints,
-                      writable_bools=self.writable_bools, in_loop=True)
+                      writable_bools=self.writable_bools, in_loop=True,
+                      fields=self.fields)
         inner.indices = list(self.indices)
         if index_var is not None:
             # the loop variable is readable and a safe array index, but
@@ -182,11 +187,15 @@ def _int_leaf(d, scope):
     kinds = ["lit", "var", "var"]
     if scope.arrays:
         kinds.append("index")
+    if scope.fields:
+        kinds += ["field", "field"]
     kind = d.choice(kinds)
     if kind == "var" and scope.ints:
         return b.var(d.choice(scope.ints))
     if kind == "index" and scope.arrays:
         return b.index(d.choice(scope.arrays), _index_expr(d, scope))
+    if kind == "field":
+        return b.field(*d.choice(scope.fields))
     return b.lit(d.integer(-9, 9))
 
 
@@ -339,6 +348,21 @@ def gen_class(d, cfg, name="Box"):
     return b.class_(name, fields, [step, total])
 
 
+def gen_field_reader(d, cfg, cls="Box", fields=("a", "b"), name="fr"):
+    """``fr(int x, Box p)``: candidate hidden locals computed from the
+    object parameter's fields, in straight-line code and in loops, so a
+    split of ``fr`` reads open fields from the hidden side."""
+    scope = Scope(ints=["x"], writable_ints=(),
+                  fields=[("p", f) for f in fields])
+    body = []
+    for v in INT_LOCALS[:2]:
+        body.append(b.decl("int", v, int_expr(d, scope, 1)))
+        scope.add_int(v)
+    body.extend(stmt_list(d, scope, cfg, d.integer(2, cfg.max_stmts)))
+    body.append(b.ret(int_expr(d, scope, cfg.expr_depth)))
+    return b.func(name, [("int", "x"), (cls, "p")], "int", body)
+
+
 def gen_global(d, name="g0"):
     return b.global_("int", name, b.lit(d.integer(-9, 9)))
 
@@ -382,6 +406,8 @@ def gen_main(d, cfg, features):
         body.append(b.print_(b.method_call("p", "total")))
         body.append(b.print_(b.method_call("q", "total")))
         body.append(b.print_(b.field("p", "a")))
+    if features.get("fields"):
+        body.append(b.print_(b.call("fr", "y", "p")))
     if features.get("global"):
         body.append(b.print_(b.call("bump", "x")))
         body.append(b.print_(b.call("bump", "y")))
@@ -396,7 +422,8 @@ def gen_program(d, cfg=None):
 
     Always contains ``f(int x, int y, int[] B)`` (with the candidate
     hidden locals ``v0..v3``) and ``main(int x, int y)``; classes,
-    globals, and a callee function join per-seed.
+    globals, and a callee function join per-seed, and with a class comes
+    the field reader ``fr``.
     """
     cfg = cfg or GenConfig()
     features = {
@@ -404,6 +431,7 @@ def gen_program(d, cfg=None):
         "class": cfg.with_classes and d.boolean(2, 3),
         "global": cfg.with_globals and d.boolean(1, 2),
     }
+    features["fields"] = features["class"]
     functions, classes, globals_ = [], [], []
     callees = []
     if features["callee"]:
@@ -415,7 +443,11 @@ def gen_program(d, cfg=None):
     if features["global"]:
         globals_.append(gen_global(d))
         functions.append(gen_global_bumper(d, cfg))
-    functions.append(gen_main(d, cfg, features))
+    main = gen_main(d, cfg, features)
+    if features["fields"]:
+        # drawn last, so the other units of a seed stay as they were
+        functions.append(gen_field_reader(d, cfg))
+    functions.append(main)
     return b.program(functions=functions, classes=classes, globals_=globals_)
 
 

@@ -10,7 +10,8 @@ fails the type check and is skipped.
 
 Passes, applied to a fixpoint:
 
-1. **unit removal** — drop whole functions, classes, and globals;
+1. **unit removal** — drop whole functions, classes, globals, and class
+   methods and fields;
 2. **statement removal** — ddmin-style chunked deletion over every
    statement list (function bodies, branch and loop bodies);
 3. **unwrapping** — replace an ``if``/``while``/``for`` with its body;
@@ -114,49 +115,37 @@ def _try(source, mutate, is_interesting, budget):
     return candidate if is_interesting(candidate) else None
 
 
+def _units(program):
+    """Removable units as ``(list, index)`` pairs, in deterministic order:
+    functions but ``main``, classes, globals, then class members."""
+    units = [(program.functions, i) for i, fn in enumerate(program.functions)
+             if fn.name != "main"]
+    units += [(program.classes, i) for i in range(len(program.classes))]
+    units += [(program.globals, i) for i in range(len(program.globals))]
+    for cls in program.classes:
+        units += [(cls.methods, i) for i in range(len(cls.methods))]
+        units += [(cls.fields, i) for i in range(len(cls.fields))]
+    return units
+
+
 def _unit_pass(source, is_interesting, budget):
-    changed = True
+    """Drop units one at a time; after each success start over."""
     progressed = False
-    while changed and budget.remaining > 0:
-        changed = False
-        program = _reparse(source)
-        n_fns = len(program.functions)
-        n_cls = len(program.classes)
-        n_glb = len(program.globals)
-        for i in range(n_fns):
-            if program.functions[i].name == "main":
-                continue
+    i = 0
+    while budget.remaining > 0 and i < len(_units(_reparse(source))):
+        def drop(p, i=i):
+            units = _units(p)
+            if i >= len(units):
+                return False
+            members, j = units[i]
+            del members[j]
+            return True
 
-            def drop_fn(p, i=i):
-                del p.functions[i]
-                return True
-
-            new = _try(source, drop_fn, is_interesting, budget)
-            if new:
-                source, changed, progressed = new, True, True
-                break
-        if changed:
-            continue
-        for i in range(n_cls):
-            def drop_cls(p, i=i):
-                del p.classes[i]
-                return True
-
-            new = _try(source, drop_cls, is_interesting, budget)
-            if new:
-                source, changed, progressed = new, True, True
-                break
-        if changed:
-            continue
-        for i in range(n_glb):
-            def drop_glb(p, i=i):
-                del p.globals[i]
-                return True
-
-            new = _try(source, drop_glb, is_interesting, budget)
-            if new:
-                source, changed, progressed = new, True, True
-                break
+        new = _try(source, drop, is_interesting, budget)
+        if new:
+            source, progressed, i = new, True, 0
+        else:
+            i += 1
     return source, progressed
 
 

@@ -203,7 +203,5 @@ class SyntheticClient:
             _send(wfile, {"values": [0] * len(msg.get("items", ()))})
         elif cb in ("fetch_index", "fetch_field"):
             _send(wfile, {"value": 0})
-        elif cb in ("store_index", "store_field"):
-            _send(wfile, {"value": None})
         else:
             _send(wfile, {"error": "unknown callback %r" % cb})

@@ -2,8 +2,8 @@
 
 Where the metrics registry *aggregates* (counters and histograms keyed by
 name and labels), the flight recorder keeps the *per-event* record: every
-channel crossing (``call``/``open``/``close``/``cb_fetch``/``cb_store``/
-``cb_batch``/``batch``) with its fragment identity, value count, modelled
+channel crossing (``call``/``open``/``close``/``cb_fetch``/``cb_batch``/
+``batch``) with its fragment identity, value count, modelled
 payload size and simulated cost; every hidden fragment execution with its
 step count; and every phase span open/close.  That record is what the
 Section 3 security argument is *about* — the adversary's observation

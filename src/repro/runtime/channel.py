@@ -131,10 +131,11 @@ class Event:
     """One observable round trip.
 
     ``kind`` is ``"call"`` (an ``hcall``), ``"open"``/``"close"``
-    (activation management), ``"cb_fetch"``/``"cb_store"`` (hidden-side
-    callbacks into open memory), ``"cb_batch"`` (a batched ``fetch_batch``
-    callback) or ``"batch"`` (a coalesced flush of deferred one-way
-    messages; only with batching enabled — see docs/PROTOCOL.md).
+    (activation management), ``"cb_fetch"`` (a hidden-side read of open
+    memory; the hidden side never writes it), ``"cb_batch"`` (a batched
+    ``fetch_batch`` callback) or ``"batch"`` (a coalesced flush of
+    deferred one-way messages; only with batching enabled — see
+    docs/PROTOCOL.md).
     """
 
     __slots__ = ("seq", "kind", "hid", "fn_name", "label", "sent", "result",
@@ -427,21 +428,11 @@ class _Window:
                      value)
         return value
 
-    def store_index(self, name, index, value):
-        self.access.store_index(name, index, value)
-        self._charge("cb_store", self.hid, self.fn_name, None,
-                     (name, index, value), None)
-
     def fetch_field(self, name, field):
         value = self.access.fetch_field(name, field)
         self._charge("cb_fetch", self.hid, self.fn_name, None, (name, field),
                      value)
         return value
-
-    def store_field(self, name, field, value):
-        self.access.store_field(name, field, value)
-        self._charge("cb_store", self.hid, self.fn_name, None,
-                     (name, field, value), None)
 
     def fetch_batch(self, items):
         """One ``cb_batch`` round trip; a reply of the wrong arity is

@@ -396,8 +396,9 @@ class _Lowering:
       step-limit raise, and the truthiness helper;
     - ``_load``, ``_store``, ``_decl_slot``: name read/write routing;
     - ``_LOWER``: its own node kinds (calls, memory accesses, allocation,
-      returns, prints), plus ``_store_index``/``_store_field`` and
-      ``_ERR``/``_bad_target`` for the error messages it raises;
+      returns, prints), and ``_ERR`` for the error messages it raises;
+    - ``_assign`` (open only): stores into array elements and fields —
+      a hidden fragment assigns only to names;
     - ``_loop_catches``: which stray ``_Brk``/``_Cnt`` a loop must catch;
     - ``_action`` (hidden only): the per-statement prefetch wrapper.
     """
@@ -622,20 +623,9 @@ class _Lowering:
             w.dedent()
 
     def _assign(self, stmt):
-        target = stmt.target
-        if isinstance(target, ast.VarRef):
-            code, _typ, _atomic = self.expr(stmt.value)
-            self._store(target.name, code)
-            return
-        vcode, _vt, vatomic = self.expr(stmt.value)
-        if not vatomic:
-            vcode = self._as_temp(vcode)
-        if isinstance(target, ast.Index):
-            self._store_index(target, vcode)
-        elif isinstance(target, ast.FieldAccess):
-            self._store_field(target, vcode)
-        else:
-            self._raise(self._bad_target(target))
+        # a name target; the open side adds array elements and fields
+        code, _typ, _atomic = self.expr(stmt.value)
+        self._store(stmt.target.name, code)
 
     # -- conditions ------------------------------------------------------------
 
@@ -1059,8 +1049,20 @@ class _FnCodegen(_Lowering):
             return ("_Brk", "_Cnt")
         return ()
 
-    def _bad_target(self, target):
-        return "invalid assignment target %r" % (target,)
+    def _assign(self, stmt):
+        target = stmt.target
+        if isinstance(target, ast.VarRef):
+            super()._assign(stmt)
+            return
+        vcode, _vt, vatomic = self.expr(stmt.value)
+        if not vatomic:
+            vcode = self._as_temp(vcode)
+        if isinstance(target, ast.Index):
+            self._write_index(target, vcode)
+        elif isinstance(target, ast.FieldAccess):
+            self._write_field(target, vcode)
+        else:
+            self._raise("invalid assignment target %r" % (target,))
 
     # -- hooks: open-only statements -------------------------------------------
 
@@ -1117,7 +1119,7 @@ class _FnCodegen(_Lowering):
         self.w.line("%s = %s[%s]" % (t, te, ti))
         return t, None, True
 
-    def _store_index(self, target, vcode):
+    def _write_index(self, target, vcode):
         te, ti = self._elem(target, "_e_ania")
         self.w.line("%s[%s] = %s" % (te, ti, vcode))
 
@@ -1134,7 +1136,7 @@ class _FnCodegen(_Lowering):
         w.line('%s = %s["%s"]' % (t, tf, expr.name))
         return t, None, True
 
-    def _store_field(self, target, vcode):
+    def _write_field(self, target, vcode):
         ocode, _ot, _oatomic = self.expr(target.obj)
         to = self._as_temp(ocode)
         self.w.line("if %s.__class__ is not _Obj: _e_anof(%s)" % (to, to))
@@ -1256,8 +1258,9 @@ class _FragCodegen(_Lowering):
     across ``hcall``s and must survive mid-fragment aborts — but
     statement dispatch, step accounting, operator application, storage
     routing, and the batch-cache probes are all lowered to straight-line
-    Python.  Open-memory reads/writes still go through the call's access
-    window (``ev.access``; the Link charges them).
+    Python.  Open-memory reads still go through the call's access window
+    (``ev.access``; the Link charges them); a fragment never writes open
+    memory.
     """
 
     _HEAD = ("def __frag(ev):", "server = ev.server")
@@ -1268,11 +1271,9 @@ class _FragCodegen(_Lowering):
         ("_HG", "server.hidden_globals"),
         ("_ifd", "ev._instance_fields"),
         ("_cfi", "ev.access.fetch_index"),
-        ("_csi", "ev.access.store_index"),
         ("_cff", "ev.access.fetch_field"),
-        ("_csf", "ev.access.store_field"),
     )
-    #: the result expression's bindings: it neither prefetches nor stores
+    #: the result expression's bindings: it neither prefetches nor writes
     _RESULT_BINDINGS = (
         ("_env", "ev.env"),
         ("_bc", "ev._batch_cache"),
@@ -1359,9 +1360,6 @@ class _FragCodegen(_Lowering):
             return ("_Cnt",)
         return ()
 
-    def _bad_target(self, target):
-        return "hidden fragment: bad assignment target"
-
     def _call(self, expr):
         if expr.name not in BUILTIN_SIGNATURES:
             # matches the AST engine: rejected before arguments run
@@ -1394,20 +1392,6 @@ class _FragCodegen(_Lowering):
             return self._raise("hidden fragment: complex field object")
         return self._probe(expr, lambda: '_cff("%s", "%s")'
                            % (obj.name, expr.name))
-
-    def _store_index(self, target, vcode):
-        if not isinstance(target.base, ast.VarRef):
-            self._raise("hidden fragment: complex array target")
-            return
-        icode, _it, _iatomic = self.expr(target.index)
-        self.w.line('_csi("%s", %s, %s)' % (target.base.name, icode, vcode))
-
-    def _store_field(self, target, vcode):
-        if not isinstance(target.obj, ast.VarRef):
-            self._raise("hidden fragment: complex field target")
-            return
-        self.w.line('_csf("%s", "%s", %s)'
-                    % (target.obj.name, target.name, vcode))
 
     _LOWER = {
         ast.Call: _call,

@@ -884,54 +884,13 @@ class _FragmentCompiler:
         return run
 
     def _compile_assign(self, stmt):
+        # a fragment assigns only to names (HiddenFragment refuses stores
+        # into open memory)
         value_t = self.compile_expr(stmt.value)
-        target = stmt.target
-
-        if isinstance(target, ast.VarRef):
-            write = self._compile_write(target.name)
-
-            def run(ev):
-                write(ev, value_t(ev))
-
-            return run
-
-        if isinstance(target, ast.Index):
-            if not isinstance(target.base, ast.VarRef):
-
-                def run(ev):
-                    value_t(ev)  # value is evaluated before the target check
-                    raise RuntimeErr("hidden fragment: complex array target")
-
-                return run
-            base_name = target.base.name
-            index_t = self.compile_expr(target.index)
-
-            def run(ev):
-                value = value_t(ev)
-                index = index_t(ev)
-                ev.access.store_index(base_name, index, value)
-
-            return run
-
-        if isinstance(target, ast.FieldAccess):
-            if not isinstance(target.obj, ast.VarRef):
-
-                def run(ev):
-                    value_t(ev)
-                    raise RuntimeErr("hidden fragment: complex field target")
-
-                return run
-            obj_name = target.obj.name
-            fname = target.name
-
-            def run(ev):
-                ev.access.store_field(obj_name, fname, value_t(ev))
-
-            return run
+        write = self._compile_write(stmt.target.name)
 
         def run(ev):
-            value_t(ev)
-            raise RuntimeErr("hidden fragment: bad assignment target")
+            write(ev, value_t(ev))
 
         return run
 

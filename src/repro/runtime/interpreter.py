@@ -64,7 +64,8 @@ class Env:
 
 
 class OpenAccess:
-    """Window the hidden side uses to touch open-component state.
+    """Window the hidden side uses to read open-component memory (it
+    never writes it).
 
     Bound to the activation (``env``) that issued the current ``hcall``.
     Every method corresponds to one callback round trip, which the
@@ -81,23 +82,11 @@ class OpenAccess:
             raise RuntimeErr("hidden access: %r is not an array" % name)
         return arr.get(index)
 
-    def store_index(self, name, index, value):
-        arr = self._interp.lookup(self._env, name)
-        if not isinstance(arr, ArrayValue):
-            raise RuntimeErr("hidden access: %r is not an array" % name)
-        arr.set(index, value)
-
     def fetch_field(self, name, field):
         obj = self._interp.lookup(self._env, name)
         if not isinstance(obj, ObjectValue):
             raise RuntimeErr("hidden access: %r is not an object" % name)
         return obj.fields[field]
-
-    def store_field(self, name, field, value):
-        obj = self._interp.lookup(self._env, name)
-        if not isinstance(obj, ObjectValue):
-            raise RuntimeErr("hidden access: %r is not an object" % name)
-        obj.fields[field] = value
 
     def fetch_batch(self, items):
         """Serve a batched prefetch callback: ``items`` is a sequence of

@@ -191,24 +191,10 @@ def _check_scalars(values, what):
                              % (what, value))
 
 
-def _facts(tenant):
-    """What a client needs to know about the program its session runs:
-    split classes, one-way calls (``{fn_id: [label, ...]}``, so a batching
-    client knows what it may coalesce), and the ``functions`` name -> id
-    map a log-replay client resolves recorded names with."""
-    deferrable = {}
-    for fn_id, (_name, fragments, _storage) in tenant.registry.items():
-        labels = [label for label in fragments
-                  if tenant.facts(fn_id, label).one_way()]
-        if labels:
-            deferrable[str(fn_id)] = sorted(labels)
-    return {"classes": sorted(tenant.hidden_field_classes),
-            "deferrable": deferrable, "functions": dict(tenant.functions)}
-
-
 class _SocketAccess:
-    """Server-side proxy for open-component memory: every access becomes a
-    callback message to the connected client."""
+    """Server-side proxy for open-component memory: every read becomes a
+    callback message to the connected client (the hidden side never
+    writes open memory)."""
 
     def __init__(self, rfile, wfile):
         self.rfile = rfile
@@ -232,18 +218,8 @@ class _SocketAccess:
     def fetch_index(self, name, index):
         return self._fetch({"cb": "fetch_index", "name": name, "index": index})
 
-    def store_index(self, name, index, value):
-        self._round_trip(
-            {"cb": "store_index", "name": name, "index": index, "value": value}
-        )
-
     def fetch_field(self, name, field):
         return self._fetch({"cb": "fetch_field", "name": name, "field": field})
-
-    def store_field(self, name, field, value):
-        self._round_trip(
-            {"cb": "store_field", "name": name, "field": field, "value": value}
-        )
 
     def fetch_batch(self, items):
         reply = self._round_trip(
@@ -337,7 +313,7 @@ class HiddenComponentServer:
         # the handshake carries the *default* program's facts (old clients
         # never select one) plus the program directory
         return {"proto": PROTOCOL_VERSION, "programs": list(self._tenants),
-                **_facts(self._default)}
+                **self._default.client_facts()}
 
     def _cache_quota(self, program):
         """The tenant's shared entry quota, or None when unbounded."""
@@ -712,7 +688,8 @@ class _ClientSession:
         if "cache" in msg:
             self.cache = msg["cache"] and self.server.cache_enabled
             self._apply_cache()
-        return {"ok": True, **_facts(self.tenant or self.server._default),
+        return {"ok": True,
+                **(self.tenant or self.server._default).client_facts(),
                 "cache": self.cache, "epoch_us": self.server._now_us()}
 
     def _op_shutdown(self, *_):
@@ -1066,12 +1043,8 @@ class RemoteHiddenRuntime:
             cb = msg["cb"]
             if cb == "fetch_index":
                 reply["value"] = access.fetch_index(msg["name"], msg["index"])
-            elif cb == "store_index":
-                access.store_index(msg["name"], msg["index"], msg["value"])
             elif cb == "fetch_field":
                 reply["value"] = access.fetch_field(msg["name"], msg["field"])
-            elif cb == "store_field":
-                access.store_field(msg["name"], msg["field"], msg["value"])
             elif cb == "fetch_batch":
                 reply = {"values": access.fetch_batch(msg["items"])}
             else:

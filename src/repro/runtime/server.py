@@ -150,7 +150,7 @@ class Tenant:
     """
 
     __slots__ = ("name", "registry", "hidden_globals", "hidden_field_classes",
-                 "functions", "_facts", "_lock")
+                 "functions", "_facts", "_client_facts", "_lock")
 
     def __init__(self, name, registry, hidden_globals=None,
                  hidden_field_classes=None):
@@ -165,6 +165,7 @@ class Tenant:
             for fn_id, (fn_name, _fragments, _storage) in registry.items()
         }
         self._facts = {}  # (fn_id, label) -> FragmentFacts
+        self._client_facts = None
         # re-entrant: compiling a codegen body resolves its prefetch map
         self._lock = threading.RLock()
 
@@ -199,6 +200,28 @@ class Tenant:
                         fragment, fn_name, storage, self._lock
                     )
         return facts
+
+    def client_facts(self):
+        """What a client needs to know about this program, derived on
+        first use and shared by every handshake: split classes, one-way
+        calls (``{fn_id: [label, ...]}``, so a batching client knows what
+        it may coalesce), and the ``functions`` name -> id map a
+        log-replay client resolves recorded names with."""
+        if self._client_facts is None:
+            with self._lock:
+                if self._client_facts is None:
+                    self._client_facts = self._derive_client_facts()
+        return self._client_facts
+
+    def _derive_client_facts(self):
+        deferrable = {}
+        for fn_id, (_name, fragments, _storage) in self.registry.items():
+            labels = [label for label in fragments
+                      if self.facts(fn_id, label).one_way()]
+            if labels:
+                deferrable[str(fn_id)] = sorted(labels)
+        return {"classes": sorted(self.hidden_field_classes),
+                "deferrable": deferrable, "functions": dict(self.functions)}
 
     def new_server(self, engine=DEFAULT_ENGINE, max_steps=20_000_000,
                    batching=False, cache=False):
@@ -630,23 +653,10 @@ class _FragmentEvaluator:
                 self.env[stmt.name] = default_value(stmt.var_type)
             return
         if isinstance(stmt, ast.Assign):
-            value = self.eval_expr(stmt.value)
-            target = stmt.target
-            if isinstance(target, ast.VarRef):
-                self._write_name(target.name, value)
-                return
-            if isinstance(target, ast.Index):
-                if not isinstance(target.base, ast.VarRef):
-                    raise RuntimeErr("hidden fragment: complex array target")
-                index = self.eval_expr(target.index)
-                self.access.store_index(target.base.name, index, value)
-                return
-            if isinstance(target, ast.FieldAccess):
-                if not isinstance(target.obj, ast.VarRef):
-                    raise RuntimeErr("hidden fragment: complex field target")
-                self.access.store_field(target.obj.name, target.name, value)
-                return
-            raise RuntimeErr("hidden fragment: bad assignment target")
+            # a fragment assigns only to names (HiddenFragment refuses
+            # stores into open memory)
+            self._write_name(stmt.target.name, self.eval_expr(stmt.value))
+            return
         if isinstance(stmt, ast.If):
             if self._truthy(self.eval_expr(stmt.cond)):
                 self.exec_body(stmt.then_body)

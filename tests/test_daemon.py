@@ -46,7 +46,7 @@ from repro.runtime.remote import (
     remote_server,
     run_split_remote,
 )
-from repro.runtime.server import Tenant
+from repro.runtime.server import FragmentFacts, Tenant
 from repro.runtime.splitrun import run_original, run_split
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -383,6 +383,37 @@ def test_hidden_only_tenant_has_the_source_splits_handshake_facts(tmp_path):
     for fact in ("functions", "classes", "deferrable"):
         assert served[fact] == expected[fact], fact
     assert served["classes"] == ["Safe"] and served["deferrable"]
+
+
+def test_handshake_facts_are_derived_once_per_tenant(monkeypatch):
+    derived = []
+    one_way = FragmentFacts.one_way
+
+    def counting(self):
+        derived.append((self.fn_name, self.fragment.label))
+        return one_way(self)
+
+    monkeypatch.setattr(FragmentFacts, "one_way", counting)
+    program = parse_program(SAFE)
+    tenant = Tenant.from_program(
+        "safe", split_class(program, check_program(program), "Safe"))
+    with remote_server(tenants=[tenant]) as address:
+        frames = []
+        for hello in (None, {"op": "hello", "batching": True}):
+            sock, rfile, wfile = _wire(address)
+            try:
+                frames.append(_recv(rfile))
+                if hello is not None:
+                    _send(wfile, hello)
+                    frames.append(_recv(rfile)["result"])
+            finally:
+                _hangup(sock)
+    assert frames[0] == frames[1]
+    assert frames[2]["deferrable"] == frames[0]["deferrable"]
+    fragments = sorted((name, label)
+                       for name, frags, _storage in tenant.registry.values()
+                       for label in frags)
+    assert sorted(derived) == fragments
 
 
 def test_serve_never_parses_the_open_program(tmp_path, monkeypatch):

@@ -72,3 +72,20 @@ def test_retired_metric_names_are_not_declared():
     # live, or the exemption would hide a current name
     assert check_docs._RETIRED_METRICS
     assert not check_docs._RETIRED_METRICS & check_docs.defined_metrics()
+
+
+def test_checker_reads_the_callback_surface():
+    assert check_docs.defined_callbacks() == {
+        "fetch_index", "fetch_field", "fetch_batch", "cb_fetch", "cb_batch"}
+
+
+def test_checker_flags_a_stale_callback(tmp_path):
+    doc = tmp_path / "PROTOCOL.md"
+    doc.write_text(
+        "Each read is a `cb_fetch`; `{\"cb\": \"fetch_batch\"}` batches.\n"
+        "A write was a `cb_store` (`store_index`), never fetch_more.\n")
+    errors = []
+    check_docs.check_callbacks(doc, doc.read_text(),
+                               check_docs.defined_callbacks(), errors)
+    assert len(errors) == 2
+    assert "'cb_store'" in errors[0] and "'store_index'" in errors[1]

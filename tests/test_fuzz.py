@@ -17,14 +17,17 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core.hidden import FragmentKind
+from repro.core.pipeline import split_source
 from repro.fuzz import campaign, oracle, reduce, selfcheck
 from repro.fuzz.generate import GenConfig, generate_program
 from repro.lang import check_program, parse_program
 from repro.lang.pretty import pretty
 from repro.runtime import ENGINES
 from repro.runtime.channel import Channel, LatencyModel
+from repro.runtime.interpreter import OpenAccess
 from repro.runtime.remote import RemoteHiddenRuntime
-from repro.runtime.splitrun import run_original
+from repro.runtime.splitrun import run_original, run_split
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
 
@@ -63,6 +66,65 @@ def test_generator_covers_the_paper_constructs():
     for needle in ("class Box", "global int g0", "func int g2", "for (",
                    "break;", "continue;", "if ("):
         assert needle in joined, "no seed in range generated %r" % needle
+
+
+#: the seed range the callback-coverage tests run over
+COVERAGE_SEEDS = range(8)
+
+
+def _callbacks(events):
+    """The callback shapes ``events`` shows: ``cb_fetch`` of an index or
+    a field (by its key's type), ``cb_batch`` with a field item."""
+    seen = set()
+    for e in events:
+        if e.kind == "cb_fetch":
+            seen.add(("cb_fetch", "field" if type(e.sent[1]) is str
+                      else "index"))
+        elif e.kind == "cb_batch":
+            seen.add(("cb_batch",))
+            if any(type(key) is str for key in e.sent[1::2]):
+                seen.add(("cb_batch", "field"))
+    return seen
+
+
+@pytest.mark.parametrize("batching", [False, True])
+def test_generator_reaches_every_fragment_kind_and_callback(batching):
+    """Over a fixed seed range the splits hold every fragment kind, and
+    their runs read open arrays and fields, one by one and batched."""
+    kinds, callbacks = set(), set()
+    for seed in COVERAGE_SEEDS:
+        program, arg_sets = generate_program(seed)
+        _program, _checker, sp = split_source(pretty(program))
+        kinds.update(f.kind for split in sp.splits.values()
+                     for f in split.fragments.values())
+        for args in arg_sets:
+            result = run_split(sp, args=args, batching=batching,
+                               latency=LatencyModel.instant())
+            callbacks |= _callbacks(result.channel.transcript.events)
+    assert kinds == {FragmentKind.STMTS, FragmentKind.EXPR,
+                     FragmentKind.PRED, FragmentKind.GET, FragmentKind.SET}
+    expected = {("cb_fetch", "index"), ("cb_fetch", "field")}
+    if batching:
+        expected |= {("cb_batch",), ("cb_batch", "field")}
+    assert callbacks == expected
+
+
+def test_fetch_field_off_by_one_is_caught_by_the_default_matrix(
+        monkeypatch):
+    fetch_field = OpenAccess.fetch_field
+
+    def off_by_one(self, name, field):
+        return fetch_field(self, name, field) + 1
+
+    monkeypatch.setattr(OpenAccess, "fetch_field", off_by_one)
+    cells = {c.name: c for c in oracle.CONFIGS}
+    for seed in COVERAGE_SEEDS:
+        program, arg_sets = generate_program(seed)
+        result = oracle.run_matrix(pretty(program), arg_sets)
+        if result.diverged:
+            break
+    assert result.diverged
+    assert all(cells[d.config].split for d in result.divergences)
 
 
 def test_gen_config_knobs():
@@ -184,7 +246,7 @@ class _CallbackIndexOffByOne(_CloseRecordedAsOpen):
     kinds and counts stay right, only the values sent are wrong."""
 
     def round_trip(self, kind, hid, fn_name, label, sent, *args, **kwargs):
-        if kind in ("cb_fetch", "cb_store") and type(sent[1]) is int:
+        if kind == "cb_fetch" and type(sent[1]) is int:
             sent = (sent[0], sent[1] + 1) + tuple(sent[2:])
         return self._channel.round_trip(kind, hid, fn_name, label, sent,
                                         *args, **kwargs)

@@ -18,7 +18,8 @@ from repro.runtime.remote import (
     RemoteHiddenRuntime,
     remote_server,
 )
-from repro.runtime.values import RuntimeErr
+from repro.runtime.interpreter import Env, Interpreter, OpenAccess
+from repro.runtime.values import ArrayValue, ObjectValue, RuntimeErr
 
 SOURCE = """
 func int f(int x, int[] B) {
@@ -212,3 +213,45 @@ def test_connection_policy_validation():
         ConnectionPolicy(timeout_s=0)
     with pytest.raises(ValueError):
         ConnectionPolicy(connect_retries=0)
+
+
+@pytest.mark.parametrize("frame", [
+    {"cb": "store_index", "name": "B", "index": 0, "value": 99},
+    {"cb": "store_field", "name": "p", "field": "a", "value": 99},
+])
+def test_store_callback_from_a_hostile_daemon_is_refused(scripted, frame):
+    # Hf only reads open memory: a daemon asking the client to write it
+    # gets the unknown-callback error, and nothing is written
+    answers = []
+
+    def script(conn):
+        _handshake(conn)
+        rfile = conn.makefile("rb")
+        rfile.readline()  # open
+        conn.sendall(b'{"result": 1}\n')
+        rfile.readline()  # call
+        conn.sendall((json.dumps(frame) + "\n").encode("utf-8"))
+        answers.append(json.loads(rfile.readline()))
+        reply = {"error": "client-side access failed: %s"
+                 % answers[-1].get("error")}
+        conn.sendall((json.dumps(reply) + "\n").encode("utf-8"))
+        rfile.readline()  # shutdown
+
+    interp = Interpreter(parse_program("func void main() { }"))
+    env = Env(None)
+    env.locals["B"] = ArrayValue([1, 2, 3])
+    env.locals["p"] = ObjectValue("Box", {"a": 1})
+    server = scripted(script)
+    runtime = RemoteHiddenRuntime(server.address, policy=FAST)
+    try:
+        link = runtime.link()
+        hid = link.open_activation(0)
+        with pytest.raises(RuntimeErr) as err:
+            link.call(hid, 0, [1], OpenAccess(interp, env))
+    finally:
+        runtime.close()
+    assert answers == [{"error": "unknown callback %r" % frame["cb"]}]
+    assert "unknown callback" in str(err.value)
+    assert env.locals["B"].elems == [1, 2, 3]
+    assert env.locals["p"].fields == {"a": 1}
+    assert [e.kind for e in link.channel.transcript.events] == ["open"]

@@ -434,3 +434,29 @@ def test_committed_example_traces_are_consistent():
         (ROOT / "examples/traces/dotproduct.trace.json").read_text())
     assert committed["otherData"]["aligned"] is True
     assert len(committed["traceEvents"]) > 10
+
+
+def _channel_events(path):
+    """``(kind, fn, label, values)`` of every channel event in a jsonl
+    log or a merged Chrome trace, in file order: what a rerun must
+    reproduce (timestamps, trace ids and timings never repeat)."""
+    text = pathlib.Path(path).read_text()
+    if path.suffix == ".json":
+        events = [e["args"] for e in json.loads(text)["traceEvents"]
+                  if e.get("cat") == "channel"]
+    else:
+        events = [e for e in map(json.loads, text.splitlines())
+                  if e["type"] == "channel"]
+    return [(e["kind"], e["fn"], e["label"], e["values"]) for e in events]
+
+
+def test_committed_example_traces_are_what_the_script_writes(tmp_path):
+    import runpy
+
+    regen = runpy.run_path(str(ROOT / "tools" / "regen_traces.py"))
+    regen["regenerate"](tmp_path)
+    for name in ("dotproduct.client.jsonl", "dotproduct.server.jsonl",
+                 "dotproduct.trace.json"):
+        committed = _channel_events(ROOT / "examples" / "traces" / name)
+        assert committed, name
+        assert _channel_events(tmp_path / name) == committed, name

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation hygiene checks, run by the CI docs job.
 
-Two failure modes that rot silently:
+Failure modes that rot silently:
 
 1. **Dead relative links** — ``[text](OTHER.md)`` in ``docs/*.md`` (and
    the top-level ``*.md``) pointing at files that do not exist, including
@@ -19,6 +19,11 @@ Two failure modes that rot silently:
    ``repro <sub>`` subcommand no ``add_parser`` registers; any
    ``--engine X`` choice shown in a doc that the engine registry
    (``ENGINES`` in ``src/repro/runtime/__init__.py``) does not list.
+4. **Stale callbacks** — a backticked ``cb_*`` event kind or
+   ``fetch_*``/``store_*`` callback in ``docs/``, README.md or DESIGN.md
+   that the source does not define: the callbacks are the ``"cb": ...``
+   literals of ``src/repro/runtime/remote.py``, the event kinds those
+   ``_charge("cb_...")`` in ``src/repro/runtime/channel.py`` books.
 
 Exit status 0 when clean, 1 with a findings listing otherwise.  No
 dependencies beyond the standard library, so it runs anywhere::
@@ -71,6 +76,14 @@ _SUBCOMMAND_DEF = re.compile(r'add_parser\(\s*\n?\s*"([a-z][a-z0-9-]+)"')
 _ENGINE_USE = re.compile(r"--engine[ =]([a-z]+)")
 #: the engine registry tuple in runtime/__init__.py
 _ENGINE_DEF = re.compile(r"^ENGINES\s*=\s*\(([^)]*)\)", re.MULTILINE)
+#: callback names and callback event kinds inside a backticked span
+_BACKTICKED = re.compile(r"`[^`\n]+`")
+_CALLBACK_USE = re.compile(r"\b(?:cb_|fetch_|store_)[a-z_]+\b")
+#: callbacks the daemon sends, and the event kinds the Link charges them as
+_CALLBACK_DEF = re.compile(r'"cb": "([a-z_]+)"')
+_CB_KIND_DEF = re.compile(r'_charge\(\s*"(cb_[a-z_]+)"')
+#: the documents held to the defined callbacks
+_CALLBACK_DOCS = ("README.md", "DESIGN.md")
 
 
 def _rel(path):
@@ -181,6 +194,26 @@ def defined_engines():
     return set(re.findall(r'"([a-z]+)"', match.group(1)))
 
 
+def defined_callbacks():
+    remote = (REPO / "src/repro/runtime/remote.py").read_text(encoding="utf-8")
+    channel = (REPO / "src/repro/runtime/channel.py").read_text(
+        encoding="utf-8")
+    return set(_CALLBACK_DEF.findall(remote)) | set(
+        _CB_KIND_DEF.findall(channel))
+
+
+def check_callbacks(path, text, callbacks, errors):
+    """Every backticked callback or callback event kind must be one the
+    hidden side can still issue."""
+    used = {name for span in _BACKTICKED.findall(text)
+            for name in _CALLBACK_USE.findall(span)}
+    for name in sorted(used - callbacks):
+        errors.append(
+            "%s: unknown callback %r (neither a \"cb\" literal of "
+            "runtime/remote.py nor a kind runtime/channel.py charges)"
+            % (_rel(path), name))
+
+
 def check_engines(path, text, engines, errors):
     """Every ``--engine X`` a doc shows must name a registered engine."""
     for name in sorted(set(_ENGINE_USE.findall(text))):
@@ -238,9 +271,11 @@ def main():
     flags = defined_flags()
     subcommands = defined_subcommands()
     engines = defined_engines()
-    if not routes or not flags or not subcommands or not engines:
-        print("check_docs: found no routes/flags/subcommands/engines in "
-              "src/ — the definition regexes are broken", file=sys.stderr)
+    callbacks = defined_callbacks()
+    if not (routes and flags and subcommands and engines and callbacks):
+        print("check_docs: found no routes/flags/subcommands/engines/"
+              "callbacks in src/ — the definition regexes are broken",
+              file=sys.stderr)
         return 1
     errors = []
     for path in doc_files():
@@ -252,6 +287,8 @@ def main():
         if path.name == "OBSERVABILITY.md":
             check_metric_table(path, text, declared, errors)
         check_engines(path, text, engines, errors)
+        if path.parent != REPO or path.name in _CALLBACK_DOCS:
+            check_callbacks(path, text, callbacks, errors)
         if path.name != "ROADMAP.md":  # the roadmap names future surface
             check_subcommands(path, text, subcommands, errors)
         if path.name in ("OBSERVABILITY.md", "OPERATIONS.md", "CACHING.md"):
