@@ -3,9 +3,6 @@ the call-graph cut used for function selection (Section 2.2, "Function
 Selection").
 """
 
-from repro.lang import ast
-from repro.lang.typecheck import BUILTIN_SIGNATURES
-
 
 class CallSite:
     """One call expression inside a function body."""
@@ -32,11 +29,10 @@ class CallGraph:
 
     def add_call(self, caller, callee, expr, in_loop):
         self.call_sites.append(CallSite(caller, callee, expr, in_loop))
-        if callee in self.functions:
-            self.callees[caller].add(callee)
-            self.callers[callee].add(caller)
-            if in_loop:
-                self.called_in_loop.add(callee)
+        self.callees[caller].add(callee)
+        self.callers[callee].add(caller)
+        if in_loop:
+            self.called_in_loop.add(callee)
 
     # -- queries -------------------------------------------------------------
 
@@ -105,78 +101,14 @@ class CallGraph:
         return seen
 
 
-def build_callgraph(program, checker=None):
-    """Build the call graph; ``checker`` (a populated
-    :class:`~repro.lang.typecheck.TypeChecker`) enables method-call
-    resolution by receiver static type.  Without it, method calls resolve by
-    unique method name when possible."""
+def build_callgraph(program, checker):
+    """The call graph of ``program``, read off the calls its populated
+    :class:`~repro.lang.typecheck.TypeChecker` resolved while checking it
+    (free calls by name, method calls by receiver static type)."""
     cg = CallGraph(program)
-    methods_by_name = {}
-    for cls in program.classes:
-        for m in cls.methods:
-            methods_by_name.setdefault(m.name, []).append(m)
-
-    for fn in program.all_functions():
-        caller = fn.qualified_name
-        for stmt, in_loop in _walk_with_loops(fn.body):
-            for expr in ast.stmt_exprs(stmt):
-                if isinstance(expr, ast.Call):
-                    if expr.name in BUILTIN_SIGNATURES:
-                        continue
-                    callee = _resolve_free_call(program, fn, expr.name)
-                    cg.add_call(caller, callee, expr, in_loop)
-                elif isinstance(expr, ast.MethodCall):
-                    callee = _resolve_method_call(
-                        program, checker, methods_by_name, expr
-                    )
-                    cg.add_call(caller, callee, expr, in_loop)
+    for caller, callee, expr, in_loop in checker.calls:
+        cg.add_call(caller.qualified_name, callee.qualified_name, expr, in_loop)
     return cg
-
-
-def _walk_with_loops(body):
-    """Yield ``(stmt, in_loop)`` for every statement of ``body`` in
-    :func:`~repro.lang.ast.walk_stmts` order, where ``in_loop`` says the
-    statement lies inside a loop.  A ``For``'s ``init`` and ``update``
-    count as inside it; a loop's own condition belongs to the loop
-    statement, so it is inside only an enclosing loop."""
-    stack = [(iter(body), False)]
-    while stack:
-        stmts, in_loop = stack[-1]
-        for stmt in stmts:
-            yield stmt, in_loop
-            subs = ast.child_stmt_lists(stmt)
-            if subs:
-                inner = in_loop or isinstance(stmt, (ast.While, ast.For))
-                stack.extend((iter(sub), inner) for sub in reversed(subs))
-                break
-        else:
-            stack.pop()
-
-
-def _resolve_free_call(program, caller_fn, name):
-    for fn in program.functions:
-        if fn.name == name:
-            return fn.qualified_name
-    if caller_fn.owner is not None:
-        try:
-            cls = program.class_decl(caller_fn.owner)
-        except KeyError:
-            return name
-        for m in cls.methods:
-            if m.name == name:
-                return m.qualified_name
-    return name
-
-
-def _resolve_method_call(program, checker, methods_by_name, expr):
-    if checker is not None:
-        recv_type = checker.expr_types.get(expr.receiver)
-        if recv_type is not None and isinstance(recv_type, ast.ClassType):
-            return "%s.%s" % (recv_type.name, expr.name)
-    candidates = methods_by_name.get(expr.name, [])
-    if len(candidates) == 1:
-        return candidates[0].qualified_name
-    return expr.name
 
 
 def select_cut(cg, entry="main", avoid_recursive=True, avoid_loop_called=True):
@@ -204,10 +136,8 @@ def select_cut(cg, entry="main", avoid_recursive=True, avoid_loop_called=True):
                 if callee in seen:
                     continue
                 seen.add(callee)
-                eligible = (
-                    callee in cg.functions
-                    and callee not in recursive
-                    and not (avoid_loop_called and callee in cg.called_in_loop)
+                eligible = callee not in recursive and not (
+                    avoid_loop_called and callee in cg.called_in_loop
                 )
                 if eligible:
                     selected.append(callee)

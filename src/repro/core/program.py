@@ -20,9 +20,9 @@ class SplitProgram:
     original's, and only the open components (and the ``Program`` and
     ``ClassDecl`` containers) are new.  Nothing may therefore mutate either
     program's AST in place.  What runs on them respects that: the type
-    checker writes ``binding`` only while checking a fresh parse, nothing
-    reads ``uid``, the engines key their code caches per ``Interpreter``,
-    and the fuzz reducer edits fresh parses of its source.
+    checker writes ``binding`` only while checking a fresh parse, the
+    engines key their code caches per ``Interpreter``, and the fuzz
+    reducer edits fresh parses of its source.
     """
 
     def __init__(self, original, program, splits, fn_ids,

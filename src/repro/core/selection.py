@@ -15,7 +15,7 @@ the security estimator.
 from repro.lang import ast
 from repro.analysis.callgraph import build_callgraph, select_cut
 from repro.analysis.slicing import forward_slice
-from repro.core.splitter import SplitError, split_function
+from repro.core.splitter import SplitError, SplitInvariantError, split_function
 
 
 def splittable_variables(fn, analysis=None):
@@ -40,7 +40,9 @@ def select_variable(fn, analysis, options=None, scorer=None, fn_id=0):
     ``scorer(split_fn, analysis) -> sortable`` ranks trial splits; the
     default is the security estimator's maximum ILP arithmetic complexity
     (ties broken by slice size).  Returns ``(var, split_fn)`` or
-    ``(None, None)`` when the function has no usable candidate.
+    ``(None, None)`` when the function has no usable candidate.  A
+    candidate whose trial split raises ``SplitError`` is skipped, unless
+    it is a :class:`~repro.core.splitter.SplitInvariantError`.
 
     Trial splits are made with ``fn_id``, so when it is the function's
     final id the winning ``split_fn`` is the split itself and need not be
@@ -56,6 +58,8 @@ def select_variable(fn, analysis, options=None, scorer=None, fn_id=0):
         try:
             split = split_function(fn, var, analysis, fn_id=fn_id,
                                    options=options)
+        except SplitInvariantError:
+            raise
         except SplitError:
             continue
         if not split.ilps:

@@ -88,6 +88,12 @@ class SplitError(Exception):
     """Raised when a function/variable combination cannot be split."""
 
 
+class SplitInvariantError(SplitError):
+    """Raised when the splitter built a component that breaks one of its
+    own invariants: a bug in the splitter, not a property of the choice,
+    so variable selection must not skip it as an unsplittable candidate."""
+
+
 def split_function(fn, var, analysis, fn_id=0, options=None,
                    hidden_storage=None, storage_class=None):
     """Split ``fn`` on ``var``.
@@ -286,7 +292,7 @@ class _Splitter:
                 source_stmts=list(source_stmts),
             )
         except ValueError as exc:  # a store into open memory
-            raise SplitError(str(exc)) from None
+            raise SplitInvariantError(str(exc)) from None
         frag.prefetch = collect_prefetch(frag)
         self.fragments[label] = frag
         return frag

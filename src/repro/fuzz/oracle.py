@@ -32,7 +32,7 @@ from itertools import combinations, product
 from repro import obs
 from repro.obs.metrics import declare
 from repro.core.pipeline import split_source
-from repro.core.splitter import SplitError
+from repro.core.splitter import SplitError, SplitInvariantError
 from repro.runtime import ENGINES
 from repro.runtime.channel import LatencyModel
 from repro.runtime.splitrun import run_original, run_split, _values_differ
@@ -293,6 +293,8 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
             sp = hide_global(program, checker, hide)
         else:
             program, _checker, sp = split_source(source, choices=choices)
+    except SplitInvariantError:
+        raise
     except SplitError:
         # an explicit choice the splitter (documentedly) rejects: compare
         # only the unsplit configurations

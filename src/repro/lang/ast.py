@@ -1,30 +1,26 @@
 """Abstract syntax tree for the MiniJava-like language.
 
-Nodes are plain dataclasses with identity-based equality (``eq=False``) so
-they can be used as dictionary keys by the analysis passes, which attach
+Nodes are slotted dataclasses with identity-based equality (``eq=False``)
+so they can be used as dictionary keys by the analysis passes, which attach
 facts to individual statements and expressions.  Structural comparison, used
 by the parser/pretty-printer round-trip tests, is provided separately by
 :func:`structurally_equal`.
 
-Every node carries a unique ``uid`` and an optional source position.
+Every node carries an optional source position, ``line`` and ``col``.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
-_uid_counter = itertools.count(1)
 
-
-def _next_uid():
-    return next(_uid_counter)
-
-
-@dataclass(eq=False)
 class Node:
-    """Base class for all AST nodes."""
+    """Base class for all AST nodes.
+
+    The source position lives in this base's slots rather than in the
+    dataclass fields, so :func:`structurally_equal` ignores it."""
+
+    __slots__ = ("line", "col")
 
     def __post_init__(self):
-        self.uid = _next_uid()
         self.line = None
         self.col = None
 
@@ -40,30 +36,30 @@ class Node:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Type(Node):
     """Base class for type annotations."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IntType(Type):
     def __str__(self):
         return "int"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FloatType(Type):
     def __str__(self):
         return "float"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BoolType(Type):
     def __str__(self):
         return "bool"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ArrayType(Type):
     elem: Type
 
@@ -71,7 +67,7 @@ class ArrayType(Type):
         return "%s[]" % self.elem
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ClassType(Type):
     name: str
 
@@ -89,27 +85,27 @@ def is_scalar_type(t):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expr(Node):
     """Base class for expressions."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FloatLit(Expr):
     value: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class VarRef(Expr):
     """Reference to a local variable, parameter, field, or global.
 
@@ -122,20 +118,20 @@ class VarRef(Expr):
     binding: str = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class BinaryOp(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class UnaryOp(Expr):
     op: str
     operand: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Call(Expr):
     """Free-function or builtin call: ``f(a, b)``."""
 
@@ -143,7 +139,7 @@ class Call(Expr):
     args: list
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class MethodCall(Expr):
     """Method call on an object expression: ``obj.m(a, b)``."""
 
@@ -152,7 +148,7 @@ class MethodCall(Expr):
     args: list
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Index(Expr):
     """Array element access ``base[index]``."""
 
@@ -160,7 +156,7 @@ class Index(Expr):
     index: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FieldAccess(Expr):
     """Field read ``obj.f``."""
 
@@ -168,13 +164,13 @@ class FieldAccess(Expr):
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class NewArray(Expr):
     elem_type: Type
     size: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class NewObject(Expr):
     class_name: str
 
@@ -184,19 +180,19 @@ class NewObject(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Stmt(Node):
     """Base class for statements."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class VarDecl(Stmt):
     var_type: Type
     name: str
     init: Expr = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Assign(Stmt):
     """Assignment; ``target`` is a :class:`VarRef`, :class:`Index` or
     :class:`FieldAccess`."""
@@ -205,20 +201,20 @@ class Assign(Stmt):
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class If(Stmt):
     cond: Expr
     then_body: list
     else_body: list = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class While(Stmt):
     cond: Expr
     body: list
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class For(Stmt):
     """C-style for loop.  ``init`` and ``update`` are simple statements
     (:class:`VarDecl` or :class:`Assign`) or ``None``."""
@@ -229,34 +225,34 @@ class For(Stmt):
     body: list
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Return(Stmt):
     value: Expr = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CallStmt(Stmt):
     """Expression statement wrapping a :class:`Call` or :class:`MethodCall`."""
 
     call: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Print(Stmt):
     value: Expr
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Break(Stmt):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Continue(Stmt):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block(Stmt):
     """A bare ``{ ... }`` scope."""
 
@@ -268,13 +264,13 @@ class Block(Stmt):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Param(Node):
     param_type: Type
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Function(Node):
     """A free function (``func``) or a class method (``method``)."""
 
@@ -295,27 +291,27 @@ class Function(Node):
         return self.name
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FieldDecl(Node):
     field_type: Type
     name: str
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class GlobalDecl(Node):
     var_type: Type
     name: str
     init: Expr = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ClassDecl(Node):
     name: str
     fields: list
     methods: list
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Program(Node):
     globals: list
     classes: list
@@ -449,7 +445,7 @@ def _walk_exprs(stack):
 def structurally_equal(a, b):
     """Structural (shape + literal) equality for AST nodes and node lists.
 
-    Ignores ``uid`` and source positions; used by round-trip tests.
+    Ignores source positions; used by round-trip tests.
     """
     if a is None or b is None:
         return a is None and b is None

@@ -2,8 +2,8 @@
 
 The splitter must leave the original program untouched (the security
 estimator runs on it), so every statement or expression placed into an open
-or hidden component is cloned.  Fresh ``uid``s are assigned; ``binding``
-annotations on variable references are preserved.
+or hidden component is cloned.  ``binding`` annotations on variable
+references and source positions are preserved.
 
 Whole functions are never cloned: a split program shares each unsplit
 function (and every global and field declaration) with the original, so

@@ -7,7 +7,9 @@ on:
   ``"local"``, ``"field"`` or ``"global"``;
 * :attr:`TypeChecker.expr_types` maps expression nodes to their types;
 * :attr:`TypeChecker.local_types` maps each function to its local/parameter
-  type environment.
+  type environment;
+* :attr:`TypeChecker.calls` lists every resolved call to a program function
+  (the call graph's one source, :func:`~repro.analysis.callgraph.build_callgraph`).
 
 One deliberate restriction: a variable name may be declared only once per
 function (no shadowing across blocks).  This gives every scalar local a
@@ -80,6 +82,9 @@ class _FunctionScope:
             if p.name in self.locals:
                 raise TypeError_("duplicate parameter %r" % p.name, p.line, p.col)
             self.locals[p.name] = p.param_type
+        #: inside a loop statement: its body, or a ``For``'s init and
+        #: update, but not the loop's own condition
+        self.in_loop = False
 
 
 class TypeChecker:
@@ -89,6 +94,9 @@ class TypeChecker:
         self.program = program
         self.expr_types = {}
         self.local_types = {}
+        #: ``(caller, callee, expr, in_loop)`` per call of a program function
+        #: (builtins excluded), caller and callee being ``Function`` nodes
+        self.calls = []
         self.global_types = {g.name: g.var_type for g in program.globals}
         self.class_decls = {c.name: c for c in program.classes}
         self.functions = {}
@@ -130,14 +138,21 @@ class TypeChecker:
 
     def _check_function(self, fn, class_decl):
         scope = _FunctionScope(fn, class_decl)
-        self._check_body(fn.body, scope, in_loop=False)
+        self._check_body(fn.body, scope)
         self.local_types[fn] = dict(scope.locals)
 
-    def _check_body(self, body, scope, in_loop):
+    def _check_body(self, body, scope):
         for stmt in body:
-            self._check_stmt(stmt, scope, in_loop)
+            self._check_stmt(stmt, scope)
 
-    def _check_stmt(self, stmt, scope, in_loop):
+    def _check_loop_part(self, stmts, scope):
+        outer = scope.in_loop
+        scope.in_loop = True
+        for stmt in stmts:
+            self._check_stmt(stmt, scope)
+        scope.in_loop = outer
+
+    def _check_stmt(self, stmt, scope):
         if isinstance(stmt, ast.VarDecl):
             self._check_var_decl(stmt, scope)
         elif isinstance(stmt, ast.Assign):
@@ -151,16 +166,16 @@ class TypeChecker:
             cond_t = self._check_expr(stmt.cond, scope)
             if not isinstance(cond_t, ast.BoolType):
                 raise TypeError_("if condition must be bool, got %s" % cond_t, stmt.line, stmt.col)
-            self._check_body(stmt.then_body, scope, in_loop)
-            self._check_body(stmt.else_body, scope, in_loop)
+            self._check_body(stmt.then_body, scope)
+            self._check_body(stmt.else_body, scope)
         elif isinstance(stmt, ast.While):
             cond_t = self._check_expr(stmt.cond, scope)
             if not isinstance(cond_t, ast.BoolType):
                 raise TypeError_("while condition must be bool, got %s" % cond_t, stmt.line, stmt.col)
-            self._check_body(stmt.body, scope, in_loop=True)
+            self._check_loop_part(stmt.body, scope)
         elif isinstance(stmt, ast.For):
             if stmt.init is not None:
-                self._check_stmt(stmt.init, scope, in_loop)
+                self._check_loop_part([stmt.init], scope)
             if stmt.cond is not None:
                 cond_t = self._check_expr(stmt.cond, scope)
                 if not isinstance(cond_t, ast.BoolType):
@@ -168,8 +183,8 @@ class TypeChecker:
             if stmt.update is not None:
                 if isinstance(stmt.update, ast.VarDecl):
                     raise TypeError_("for update may not declare a variable", stmt.line, stmt.col)
-                self._check_stmt(stmt.update, scope, in_loop)
-            self._check_body(stmt.body, scope, in_loop=True)
+                self._check_loop_part([stmt.update], scope)
+            self._check_loop_part(stmt.body, scope)
         elif isinstance(stmt, ast.Return):
             if scope.fn.ret_type is None:
                 if stmt.value is not None:
@@ -189,10 +204,10 @@ class TypeChecker:
         elif isinstance(stmt, ast.Print):
             self._check_expr(stmt.value, scope)
         elif isinstance(stmt, (ast.Break, ast.Continue)):
-            if not in_loop:
+            if not scope.in_loop:
                 raise TypeError_("break/continue outside a loop", stmt.line, stmt.col)
         elif isinstance(stmt, ast.Block):
-            self._check_body(stmt.body, scope, in_loop)
+            self._check_body(stmt.body, scope)
         else:
             raise TypeError_("unknown statement %r" % stmt, stmt.line, stmt.col)
 
@@ -347,10 +362,7 @@ class TypeChecker:
             fn = self.methods.get((scope.class_decl.name, expr.name))
         if fn is None:
             raise TypeError_("undefined function %r" % expr.name, expr.line, expr.col)
-        self._check_args(expr, fn, scope)
-        if fn.ret_type is None and not allow_void:
-            raise TypeError_("void call used as a value", expr.line, expr.col)
-        return fn.ret_type if fn.ret_type is not None else ast.IntType()
+        return self._check_resolved_call(expr, fn, scope, allow_void)
 
     def _check_method_call(self, expr, scope, allow_void):
         obj_t = self._check_expr(expr.receiver, scope)
@@ -361,6 +373,10 @@ class TypeChecker:
             raise TypeError_(
                 "class %r has no method %r" % (obj_t.name, expr.name), expr.line, expr.col
             )
+        return self._check_resolved_call(expr, fn, scope, allow_void)
+
+    def _check_resolved_call(self, expr, fn, scope, allow_void):
+        self.calls.append((scope.fn, fn, expr, scope.in_loop))
         self._check_args(expr, fn, scope)
         if fn.ret_type is None and not allow_void:
             raise TypeError_("void call used as a value", expr.line, expr.col)

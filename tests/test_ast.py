@@ -53,10 +53,11 @@ def test_stmt_exprs_excludes_nested_statements():
     assert names == {"i", "x"}
 
 
-def test_structural_equality_ignores_uids():
-    a = parse_expression("1 + x * 2")
-    c = parse_expression("1 + x * 2")
-    assert a.uid != c.uid
+def test_structural_equality_ignores_positions():
+    a = parse_expression("1 + x * 2").at(1, 1)
+    c = parse_expression("1 + x * 2").at(7, 12)
+    assert a is not c
+    assert (a.line, a.col) != (c.line, c.col)
     assert structurally_equal(a, c)
 
 
@@ -65,10 +66,20 @@ def test_structural_inequality():
     assert not structurally_equal(parse_expression("x"), parse_expression("y"))
 
 
-def test_uids_unique():
+def test_nodes_are_distinct_objects():
     program = parse_program(SRC)
-    uids = [s.uid for s in walk_stmts(program.functions[0].body)]
-    assert len(uids) == len(set(uids))
+    stmts = list(walk_stmts(program.functions[0].body))
+    assert len({id(s) for s in stmts}) == len(stmts)
+
+
+def test_nodes_have_no_instance_dict():
+    concrete = [cls for cls in vars(ast).values()
+                if isinstance(cls, type) and issubclass(cls, ast.Node)
+                and cls.__subclasses__() == []]
+    assert len(concrete) > 30
+    for cls in concrete:
+        node = cls(*[None] * len(cls.__dataclass_fields__))
+        assert not hasattr(node, "__dict__"), cls.__name__
 
 
 def test_program_function_lookup():
@@ -114,7 +125,6 @@ def test_clone_is_structurally_equal_but_fresh():
     fn = parse_program(SRC).functions[0]
     copy = clone_body(fn.body)
     assert structurally_equal(fn.body, copy)
-    assert copy[0].uid != fn.body[0].uid
     assert copy[0] is not fn.body[0]
 
 

@@ -124,14 +124,16 @@ def test_cut_falls_back_to_entry():
     assert select_cut(cg) == ["main"]
 
 
-# -- loop nesting tracked in the one statement walk ------------------------------
+# -- the checker's call record against a statement walk ------------------------
 
 
 def _reference_sites(program, checker):
-    """The call sites as the builder found them when every site searched
-    the function body again from the root for its loop nesting; kept here
-    as the reference the single-walk builder must reproduce."""
-    from repro.analysis import callgraph as cg_mod
+    """The call sites found by walking every statement of every function
+    body: each site searches the body again from the root for its loop
+    nesting, a free call resolves to a free function of that name and
+    otherwise to a method of the caller's class, and a method call by its
+    receiver's static type.  Kept here as the reference the checker's
+    record must reproduce."""
     from repro.lang import ast
     from repro.lang.typecheck import BUILTIN_SIGNATURES
 
@@ -160,10 +162,15 @@ def _reference_sites(program, checker):
                     return found
         return None
 
-    methods_by_name = {}
-    for cls in program.classes:
-        for m in cls.methods:
-            methods_by_name.setdefault(m.name, []).append(m)
+    def resolve_free(fn, name):
+        for free in program.functions:
+            if free.name == name:
+                return free.qualified_name
+        for method in program.class_decl(fn.owner).methods:
+            if method.name == name:
+                return method.qualified_name
+        raise AssertionError("unresolved call %r" % name)
+
     sites = []
     for fn in program.all_functions():
         for stmt in ast.walk_stmts(fn.body):
@@ -171,10 +178,10 @@ def _reference_sites(program, checker):
                 if isinstance(expr, ast.Call):
                     if expr.name in BUILTIN_SIGNATURES:
                         continue
-                    callee = cg_mod._resolve_free_call(program, fn, expr.name)
+                    callee = resolve_free(fn, expr.name)
                 elif isinstance(expr, ast.MethodCall):
-                    callee = cg_mod._resolve_method_call(
-                        program, checker, methods_by_name, expr)
+                    callee = "%s.%s" % (checker.expr_types[expr.receiver].name,
+                                        expr.name)
                 else:
                     continue
                 sites.append((fn.qualified_name, callee, id(expr),
@@ -183,13 +190,19 @@ def _reference_sites(program, checker):
 
 
 def _assert_matches_reference(program, checker):
+    """Call sites compared as multisets: the checker visits a ``For``'s
+    init before its condition and a method call's receiver before the
+    call, so its order differs from the statement walk's."""
     cg = build_callgraph(program, checker)
     reference = _reference_sites(program, checker)
-    assert [(s.caller, s.callee, id(s.expr), s.in_loop)
-            for s in cg.call_sites] == reference
+    assert sorted((s.caller, s.callee, id(s.expr), s.in_loop)
+                  for s in cg.call_sites) == sorted(reference)
+    assert cg.callees == {
+        name: {callee for caller, callee, _expr, _in_loop in reference
+               if caller == name}
+        for name in cg.functions}
     assert cg.called_in_loop == {
-        callee for _caller, callee, _expr, in_loop in reference
-        if in_loop and callee in cg.functions}
+        callee for _caller, callee, _expr, in_loop in reference if in_loop}
 
 
 def test_loop_nesting_matches_reference_on_table5_corpora():
@@ -222,3 +235,28 @@ def test_for_init_and_update_count_as_in_loop():
         """
     )
     assert cg.called_in_loop == {"a", "b", "c"}
+
+
+def test_build_callgraph_makes_no_ast_walk(monkeypatch):
+    from repro.lang import ast
+
+    program = parse_program(
+        """
+        class P { method int m() { return 1; } }
+        func int a() { return 1; }
+        func void main() {
+            P p = new P();
+            for (int i = a(); i < 3; i = i + 1) { print(p.m()); }
+        }
+        """
+    )
+    checker = check_program(program)
+
+    def refuse(*_args):
+        raise AssertionError("build_callgraph walked the AST")
+
+    monkeypatch.setattr(ast, "stmt_exprs", refuse)
+    monkeypatch.setattr(ast, "walk_stmts", refuse)
+    cg = build_callgraph(program, checker)
+    assert cg.callees["main"] == {"a", "P.m"}
+    assert cg.called_in_loop == {"a", "P.m"}

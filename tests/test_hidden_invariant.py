@@ -19,8 +19,10 @@ from repro.analysis.function import analyze_function
 from repro.core.deploy import export_split, import_hidden
 from repro.core.hidden import FragmentKind, HiddenFragment
 from repro.core.pipeline import auto_split, split_source
+from repro.core.selection import select_variable
 from repro.core.splitter import SplitError, split_function
 from repro.fuzz.generate import generate_program
+from repro.fuzz.oracle import run_matrix
 from repro.lang import ast, check_program, parse_program, pretty_stmt
 from repro.lang.parser import parse_statements
 from repro.lang.pretty import pretty
@@ -66,7 +68,7 @@ def test_hidden_fragment_accepts_name_targets():
     assert len(fragment.body) == 2
 
 
-def test_split_function_refuses_a_planted_store(monkeypatch):
+def _plant_full_array_stores(monkeypatch):
     # plant the bug the invariant guards against: a slicer that lets an
     # array store join a case (i) statement run
     classify = slicing.classify_statement
@@ -78,12 +80,52 @@ def test_split_function_refuses_a_planted_store(monkeypatch):
         return classify(stmt, local_types, hidden_storage)
 
     monkeypatch.setattr(slicing, "classify_statement", full_array_stores)
+
+
+def test_split_function_refuses_a_planted_store(monkeypatch):
+    _plant_full_array_stores(monkeypatch)
     program = parse_program(SOURCE)
     checker = check_program(program)
     fn = program.function("f")
     with pytest.raises(SplitError) as err:
         split_function(fn, "v", analyze_function(fn, checker))
     assert "stores into open memory: a[0] = v;" in str(err.value)
+
+
+TWO_CANDIDATES = """
+func int f(int x, int[] a) {
+    int v = x + 1;
+    a[0] = v;
+    int w = x * 2;
+    int u = w + 3;
+    return v + u;
+}
+func void main(int x) {
+    int[] a = new int[1];
+    print(f(x, a));
+    print(a[0]);
+}
+"""
+
+
+def test_auto_selection_raises_a_planted_store(monkeypatch):
+    """The planted split of ``v`` breaks the invariant; selection (and the
+    fuzz oracle, which skips an unsplittable choice) must not skip it as
+    an unsplittable candidate and hide ``w`` instead."""
+    program = parse_program(TWO_CANDIDATES)
+    checker = check_program(program)
+    fn = program.function("f")
+    analysis = analyze_function(fn, checker)
+    assert select_variable(fn, analysis)[0] == "v"
+    assert select_variable(fn, analysis, scorer=lambda split, _a: (
+        split.slice.var == "w",))[0] == "w"
+    _plant_full_array_stores(monkeypatch)
+    with pytest.raises(SplitError, match=r"stores into open memory: a\[0\] = v;"):
+        select_variable(fn, analysis)
+    with pytest.raises(SplitError, match=r"stores into open memory: a\[0\] = v;"):
+        auto_split(program, checker)
+    with pytest.raises(SplitError, match=r"stores into open memory: a\[0\] = v;"):
+        run_matrix(TWO_CANDIDATES, [(3,)])
 
 
 def test_import_hidden_refuses_a_manifest_carrying_a_store():
