@@ -125,9 +125,21 @@ class DefUseInfo:
         self.du_chains = {}  # Def -> [Use]
         self.ud_chains = {}  # Use -> [Def]
         self.entry_defs = {}  # name -> Def
+        self._referencing = None  # name -> statements, built on first use
 
-    def defs_of(self, name):
-        return [d for d in self.defs if d.name == name]
+    def stmts_referencing(self, name):
+        """The statements holding a use or a non-entry def of ``name``
+        (the CFG node's ``stmt``); every name is indexed on the first
+        call."""
+        if self._referencing is None:
+            index = {}
+            for d in self.defs:
+                if not d.entry:
+                    index.setdefault(d.name, set()).add(d.node.stmt)
+            for u in self.uses:
+                index.setdefault(u.name, set()).add(u.node.stmt)
+            self._referencing = index
+        return self._referencing.get(name, frozenset())
 
     def reaching_defs(self, use):
         return self.ud_chains.get(use, [])

@@ -6,8 +6,11 @@ smart card or secure server.  This module provides that packaging:
 
 * :func:`export_split` renders a :class:`~repro.core.program.SplitProgram`
   into a JSON-able manifest — the open program as source text, every
-  hidden fragment as (label, kind, params, body source, result source),
-  plus the storage metadata;
+  hidden fragment as (label, kind, params, body source, result source,
+  set variable), plus the storage metadata.  Nothing derived from a
+  fragment ships with it: the hidden host derives its prefetch plan and
+  purity verdict from the parsed fragment itself, so a manifest cannot
+  make it batch a guarded read or memoize a store-writing fragment;
 * :func:`import_hidden` reads only the hidden half of a manifest — the
   fragment registry and hidden-state initialisers a secure host serves —
   and never parses ``open_program``;
@@ -21,7 +24,6 @@ identical channel traffic (tests assert this).
 import json
 
 from repro.core.hidden import HiddenFragment
-from repro.core.purity import PurityVerdict, classify_fragment
 from repro.lang.parser import parse_expression, parse_program, parse_statements
 from repro.lang.pretty import pretty, pretty_expr, pretty_stmt
 
@@ -47,16 +49,6 @@ def export_split(split_program):
                         else None
                     ),
                     "set_var": frag.set_var,
-                    # path-based prefetch manifest (repro.core.prefetch) so
-                    # a served component batches without re-analysis
-                    "prefetch": frag.prefetch,
-                    # cacheability verdict (repro.core.purity) so a served
-                    # component caches without re-analysis
-                    "purity": (
-                        frag.purity
-                        if frag.purity is not None
-                        else classify_fragment(frag, split.storage_map)
-                    ).to_dict(),
                 }
             )
         functions[name] = {
@@ -118,7 +110,9 @@ def import_hidden(manifest):
 
     Every fragment body and result is parsed, so a bad one fails here;
     ``open_program`` is never read — the hidden host has no use for it,
-    and a manifest without it imports the same."""
+    and a manifest without it imports the same.  A fragment spec's other
+    keys (the ``prefetch`` and ``purity`` that older manifests carry) are
+    ignored."""
     manifest = _checked(manifest)
     registry = {}
     for name, entry in manifest["functions"].items():
@@ -135,14 +129,6 @@ def import_hidden(manifest):
                     else None
                 ),
                 set_var=spec.get("set_var"),
-                # absent in manifests written before the batching layer:
-                # None makes the hidden server recompute on demand
-                prefetch=spec.get("prefetch"),
-                purity=(
-                    PurityVerdict.from_dict(spec["purity"])
-                    if spec.get("purity") is not None
-                    else None
-                ),
             )
         registry[entry["fn_id"]] = (name, fragments, dict(entry["storage_map"]))
     return (

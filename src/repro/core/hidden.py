@@ -35,18 +35,16 @@ class HiddenFragment:
     list of statements executed on the hidden side, after which
     ``result_expr`` (if any) is evaluated and returned.
 
-    ``prefetch`` is the fragment's prefetch manifest — the splitter's
-    static plan for batching open-memory reads into single ``fetch_batch``
-    callbacks (see :mod:`repro.core.prefetch`).  ``None`` means "not yet
-    computed"; the hidden server derives one on demand so hand-built
-    fragments batch too.
+    The fragment is all a hidden host is given: what it needs to know
+    beyond it — which reads to batch (:mod:`repro.core.prefetch`), whether
+    a call may be memoized (:mod:`repro.core.purity`) — it derives from
+    the fragment (:class:`repro.runtime.server.FragmentFacts`).
 
     A body assigning to an array element or a field raises ``ValueError``.
     """
 
     def __init__(self, label, kind, params=None, param_exprs=None, body=None,
-                 result_expr=None, set_var=None, source_stmts=None,
-                 prefetch=None, purity=None):
+                 result_expr=None, set_var=None, source_stmts=None):
         self.label = label
         self.kind = kind
         self.params = list(params or [])
@@ -57,11 +55,6 @@ class HiddenFragment:
         self.set_var = set_var
         #: original AST statements this fragment was carved from
         self.source_stmts = list(source_stmts or [])
-        #: prefetch manifest (repro.core.prefetch), or None if uncomputed
-        self.prefetch = prefetch
-        #: cacheability verdict (repro.core.purity), or None if unstamped —
-        #: the hidden server classifies on demand, like ``prefetch``
-        self.purity = purity
 
     def describe(self):
         """Human-readable rendering (used by examples and reports)."""

@@ -48,11 +48,6 @@ class SplitProgram:
             out[fn_id] = (name, split.fragments, split.storage_map)
         return out
 
-    def all_ilps(self):
-        for split in self.splits.values():
-            for ilp in split.ilps:
-                yield split, ilp
-
     def methods_sliced(self):
         """Table 2: number of methods chosen for splitting."""
         return len(self.splits)

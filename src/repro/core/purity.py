@@ -4,10 +4,10 @@ The Hf-side result cache (:mod:`repro.runtime.cache`, docs/CACHING.md)
 may replay a fragment's recorded outcome instead of re-executing it only
 when doing so is provably unobservable.  This pass classifies each
 fragment statically, against the same eligibility machinery the prefetch
-manifests use (:mod:`repro.core.prefetch`), and the splitter stamps the
-verdict into the fragment — and :func:`repro.core.deploy.export_split`
-into the deployment manifest — so a served hidden component caches
-without re-analysis.
+plans use (:mod:`repro.core.prefetch`).  A tenant classifies each of its
+fragments once, against the split's storage map, the first time a cached
+session calls it (:class:`repro.runtime.server.FragmentFacts`); no verdict
+travels in a deployment manifest, so none can be forged.
 
 A fragment is **cacheable** iff all of the following hold:
 
@@ -59,7 +59,7 @@ _IMPURE_BUILTINS = frozenset(["len"])
 
 
 class PurityVerdict:
-    """The classification of one fragment (JSON-serialisable).
+    """The classification of one fragment.
 
     ``env_reads`` is the sorted tuple of activation-local names whose
     pre-call values the fragment may observe (parameters excluded — they
@@ -79,27 +79,6 @@ class PurityVerdict:
         self.env_reads = tuple(sorted(env_reads))
         self.reads_globals = bool(reads_globals)
         self.reads_fields = bool(reads_fields)
-
-    def to_dict(self):
-        return {
-            "cacheable": self.cacheable,
-            "reason": self.reason,
-            "writes_hidden_store": self.writes_hidden_store,
-            "env_reads": list(self.env_reads),
-            "reads_globals": self.reads_globals,
-            "reads_fields": self.reads_fields,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            d.get("cacheable", False),
-            reason=d.get("reason", ""),
-            writes_hidden_store=d.get("writes_hidden_store", False),
-            env_reads=d.get("env_reads", ()),
-            reads_globals=d.get("reads_globals", False),
-            reads_fields=d.get("reads_fields", False),
-        )
 
     def __repr__(self):
         if self.cacheable:

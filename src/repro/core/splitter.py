@@ -51,8 +51,6 @@ from repro.analysis.slicing import (
     union_slices,
 )
 from repro.core.hidden import FragmentKind, HiddenFragment, ILPSite, SplitFunction
-from repro.core.prefetch import collect_prefetch
-from repro.core.purity import classify_fragment
 
 RESERVED_NAMES = ("hopen", "hclose", "hcall")
 
@@ -192,6 +190,8 @@ class _Splitter:
         self._fetched = set()  # vars ever fetched by Of
         self._sent = set()  # vars ever set from Of
         self._fetch_cache = {}  # var -> temp holding its still-valid value
+        self._hideable = {}  # (construct, in_hidden_loop) -> bool
+        self._subtrees = {}  # construct -> set of its statements
 
     # -- small helpers -------------------------------------------------------
 
@@ -212,14 +212,6 @@ class _Splitter:
 
     def _local_type(self, name):
         return self.analysis.local_types.get(name)
-
-    def _is_open_scalar(self, name):
-        t = self._local_type(name)
-        if t is not None:
-            return ast.is_scalar_type(t) and not self._is_hidden(name)
-        # fields/globals resolved dynamically; scalar-ness unknown here —
-        # treated as open scalar reads (aggregates appear via Index/Field).
-        return not self._is_hidden(name)
 
     # -- fragment creation ---------------------------------------------------
 
@@ -293,7 +285,6 @@ class _Splitter:
             )
         except ValueError as exc:  # a store into open memory
             raise SplitInvariantError(str(exc)) from None
-        frag.prefetch = collect_prefetch(frag)
         self.fragments[label] = frag
         return frag
 
@@ -309,7 +300,6 @@ class _Splitter:
             result_expr=result,
             source_stmts=[source_stmt] if source_stmt is not None else [],
         )
-        frag.prefetch = collect_prefetch(frag)
         self.fragments[label] = frag
         return frag
 
@@ -325,7 +315,6 @@ class _Splitter:
             result_expr=result,
             source_stmts=[construct],
         )
-        frag.prefetch = collect_prefetch(frag)
         self.fragments[label] = frag
         return frag
 
@@ -333,7 +322,7 @@ class _Splitter:
         if name not in self._get_labels:
             label = self._new_label()
             frag = HiddenFragment(
-                label, FragmentKind.GET, result_expr=ast.VarRef(name), prefetch=[]
+                label, FragmentKind.GET, result_expr=ast.VarRef(name)
             )
             self.fragments[label] = frag
             self._get_labels[name] = label
@@ -348,7 +337,6 @@ class _Splitter:
                 params=["__value"],
                 body=[ast.Assign(ast.VarRef(name), ast.VarRef("__value"))],
                 set_var=name,
-                prefetch=[],
             )
             self.fragments[label] = frag
             self._set_labels[name] = label
@@ -441,6 +429,17 @@ class _Splitter:
         return True
 
     def _construct_fully_hideable(self, stmt, in_hidden_loop=False):
+        """Whether ``stmt`` may move into ``Hf`` whole; judged once per
+        ``(stmt, in_hidden_loop)``, as nothing it reads changes while the
+        splitter runs."""
+        key = (stmt, in_hidden_loop)
+        verdict = self._hideable.get(key)
+        if verdict is None:
+            verdict = self._hideable[key] = self._judge_construct(
+                stmt, in_hidden_loop)
+        return verdict
+
+    def _judge_construct(self, stmt, in_hidden_loop):
         if not self.options.hide_control_flow:
             return False
         if isinstance(stmt, ast.While):
@@ -483,17 +482,13 @@ class _Splitter:
             return None
         if rhs is not None and _contains_nonbuiltin_call(rhs):
             return None
-        subtree = set(ast.walk_stmts([construct]))
-        for inner in ast.walk_stmts([construct]):
-            if isinstance(inner, ast.For):
-                subtree.update(s for s in (inner.init, inner.update) if s is not None)
-        defuse = self.analysis.defuse
-        for d in defuse.defs:
-            if d.name == name and not d.entry and d.node.stmt not in subtree:
-                return None
-        for u in defuse.uses:
-            if u.name == name and u.node.stmt not in subtree:
-                return None
+        subtree = self._subtrees.get(construct)
+        if subtree is None:
+            # walk_stmts includes every For header
+            subtree = self._subtrees[construct] = set(
+                ast.walk_stmts([construct]))
+        if not self.analysis.defuse.stmts_referencing(name) <= subtree:
+            return None
         return name
 
     def _promote_private_vars(self, stmt):
@@ -574,8 +569,6 @@ class _Splitter:
         if self.storage_class is not None:
             for name in self.hidden_storage:
                 storage_map[name] = self.storage_class
-        for frag in self.fragments.values():
-            frag.purity = classify_fragment(frag, storage_map)
         return SplitFunction(
             self.fn,
             open_fn,

@@ -43,10 +43,6 @@ _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _ARITH_OPS = ("+", "-", "*")
 
 
-class GenError(Exception):
-    """The generator produced an invalid program (a bug in the grammar)."""
-
-
 class Draw:
     """Choice-source interface the grammar draws from."""
 

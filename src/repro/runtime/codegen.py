@@ -1157,8 +1157,7 @@ class _FnCodegen(_Lowering):
         )
         fd = self.const(field_defaults)
         t = self.temp()
-        self.w.line('%s = _Obj("%s", dict(%s))' % (t, cname, fd))
-        self.w.line("if _h is not None: _h.notify_new_instance(%s)" % t)
+        self.w.line('%s = I.new_object("%s", dict(%s))' % (t, cname, fd))
         return t, None, True
 
     # -- hooks: calls ----------------------------------------------------------
@@ -1292,7 +1291,7 @@ class _FragCodegen(_Lowering):
         super().__init__(counting)
         self.fragment = fragment
         self.storage = storage_map
-        # which statements *can* carry a prefetch manifest entry: the map
+        # which statements *can* carry a prefetch plan: the map
         # the server passes at call time, so the generated probe sites
         # line up with the runtime ``prefetch_map`` keys
         self.stmt_map = stmt_map
@@ -1319,7 +1318,7 @@ class _FragCodegen(_Lowering):
         if id(stmt) not in self.stmt_map:
             super()._action(stmt, loop)
             return
-        # this statement carries a prefetch manifest entry: when the call
+        # this statement carries a prefetch plan: when the call
         # runs batched (prefetch_map passed), pull its open-memory reads in
         # one callback before executing, then drop the cache
         w = self.w
@@ -1402,8 +1401,9 @@ class _FragCodegen(_Lowering):
 
 def codegen_fragment(fragment, storage_map, counting, stmt_map):
     """Lower one hidden fragment to Python source; closure-tier deopt on
-    any generation failure.  ``stmt_map`` is the fragment's resolved
-    prefetch map (:func:`repro.core.prefetch.resolve_prefetch`).  Returns
+    any generation failure.  ``stmt_map`` is the statement map of
+    the fragment's prefetch plan (:func:`repro.core.prefetch.
+    prefetch_plan`).  Returns
     a :class:`CompiledFragment`-shaped object (``body`` iterable of
     callables taking the per-call ``_FragmentEvaluator``, ``result``
     callable or ``None``)."""

@@ -593,11 +593,7 @@ class OpenCompiler:
             )
 
             def run(I, env):
-                obj = ObjectValue(cname, dict(field_defaults))
-                hidden = I.hidden
-                if hidden is not None:
-                    hidden.notify_new_instance(obj)
-                return obj
+                return I.new_object(cname, dict(field_defaults))
 
             return run
 
@@ -751,7 +747,7 @@ class _FragmentCompiler:
         action = self._compile_action(stmt)
 
         # The wrapper mirrors _FragmentEvaluator.exec_stmt: tick + count,
-        # then serve the statement's prefetch manifest entry (if the call
+        # then serve the statement's prefetch plan (if the call
         # runs with batching) before dispatching.
         def run(ev):
             _tick_hidden(ev, kind)
@@ -997,7 +993,7 @@ class _FragmentCompiler:
 
         if isinstance(expr, ast.Index):
             if not isinstance(expr.base, ast.VarRef):
-                # complex reads are never in a prefetch manifest, so skipping
+                # complex reads are never in a prefetch plan, so skipping
                 # the batch-cache probe cannot change behaviour
 
                 def run(ev):

@@ -122,6 +122,8 @@ class Interpreter:
         self.call_depth = 0
         self.steps = 0
         self.output = []
+        #: objects are numbered per interpreter, from 1 (see new_object)
+        self._objects = 0
         registry = self._registry = obs.active_registry()
         self._stmt_counts = {} if registry is not None else None
         self._steps_flushed = 0
@@ -167,6 +169,16 @@ class Interpreter:
         raise RuntimeErr("global initialiser must be a literal")
 
     # -- public API -----------------------------------------------------------
+
+    def new_object(self, class_name, fields):
+        """A new instance of ``class_name`` holding ``fields``, numbered
+        after the objects this interpreter made before it; a split
+        class's hidden side is told of it (every engine allocates here)."""
+        self._objects += 1
+        obj = ObjectValue(class_name, fields, self._objects)
+        if self.hidden is not None:
+            self.hidden.notify_new_instance(obj)
+        return obj
 
     def run(self, entry="main", args=()):
         """Execute ``entry`` with ``args``; returns its return value."""
@@ -454,10 +466,7 @@ class Interpreter:
             if cls is None:
                 raise RuntimeErr("no class %r" % expr.class_name)
             fields = {f.name: default_value(f.field_type) for f in cls.fields}
-            obj = ObjectValue(expr.class_name, fields)
-            if self.hidden is not None:
-                self.hidden.notify_new_instance(obj)
-            return obj
+            return self.new_object(expr.class_name, fields)
         raise RuntimeErr("cannot evaluate %r" % (expr,))
 
     def _eval_call(self, expr, env):

@@ -23,7 +23,7 @@ from repro.obs.metrics import STEP_BUCKETS, declare
 from repro.obs import profile as _profile
 from repro.lang import ast
 from repro.core.hidden import FragmentKind
-from repro.core.prefetch import resolve_prefetch, touches_open_aggregates
+from repro.core.prefetch import prefetch_plan, touches_open_aggregates
 from repro.core.purity import classify_fragment
 from repro.runtime.cache import CacheEntry, FragmentCache, tag_value
 from repro.runtime.channel import Channel, LatencyModel, Link
@@ -65,9 +65,11 @@ class FragmentFacts:
     Derived once per tenant, the first time a session needs it, and then
     shared read-only by every session the tenant mints: the fragment's
     function name and storage map, whether a call to it is one-way, its
-    resolved prefetch map, its purity verdict, and its compiled body per
-    ``(engine, counting)``.  Each derived fact is computed on its first
-    use, under the tenant's lock, which a hit never takes.
+    prefetch plan, its purity verdict, and its compiled body per
+    ``(engine, counting)``.  Every fact comes from the fragment and its
+    storage map; a deployment manifest carries none of them.  Each is
+    computed on its first use, under the tenant's lock, which a hit never
+    takes.
     """
 
     __slots__ = ("fragment", "fn_name", "storage", "_one_way", "_prefetch",
@@ -97,24 +99,22 @@ class FragmentFacts:
         return self._one_way
 
     def prefetch(self):
-        """``(stmt_map, result_reads)``: the fragment's prefetch manifest
-        resolved to live nodes (:func:`repro.core.prefetch.
-        resolve_prefetch`)."""
+        """``(stmt_map, result_reads)``: the reads to batch, as live nodes
+        of the fragment (:func:`repro.core.prefetch.prefetch_plan`)."""
         if self._prefetch is None:
             with self._lock:
                 if self._prefetch is None:
-                    self._prefetch = resolve_prefetch(self.fragment)
+                    self._prefetch = prefetch_plan(self.fragment)
         return self._prefetch
 
     def purity(self):
-        """The fragment's stamped verdict, or an on-demand classification
-        (hand-built registries, pre-purity manifests)."""
+        """The fragment's cacheability verdict against the split's storage
+        map (:func:`repro.core.purity.classify_fragment`)."""
         if self._purity is None:
             with self._lock:
                 if self._purity is None:
-                    self._purity = self.fragment.purity or classify_fragment(
-                        self.fragment, self.storage
-                    )
+                    self._purity = classify_fragment(self.fragment,
+                                                     self.storage)
         return self._purity
 
     def body(self, engine, counting):
@@ -269,8 +269,8 @@ class HiddenServer:
         split classes — per-instance hidden state is created when the open
         component reports ``new`` (the paper's instance-id protocol).
 
-        ``batching`` turns on prefetch (docs/PROTOCOL.md): fragments with
-        prefetch manifests pull open-memory reads through one
+        ``batching`` turns on prefetch (docs/PROTOCOL.md): statements with
+        a prefetch plan pull open-memory reads through one
         ``fetch_batch`` callback per statement execution.
 
         ``engine`` selects the fragment execution strategy (docs/ENGINE.md):
@@ -574,7 +574,7 @@ class _FragmentEvaluator:
         self.storage_map = storage_map or {}
         self.receiver_oid = receiver_oid
         self.stmt_counts = stmt_counts
-        #: id(stmt) -> [read nodes] from the fragment's prefetch manifest
+        #: id(stmt) -> [read nodes] from the fragment's prefetch plan
         self.prefetch_map = prefetch_map
         #: id(read node) -> prefetched value, valid for one statement
         self._batch_cache = {}
@@ -750,10 +750,10 @@ class _FragmentEvaluator:
     # -- callbacks into open memory -----------------------------------------------------
 
     def prefetch_reads(self, reads):
-        """Fetch a manifest entry's reads through one batched callback.
+        """Fetch a planned statement's reads through one batched callback.
 
         Index expressions are evaluated here, at statement entry — by
-        manifest eligibility they are pure and aggregate-free, so this
+        the plan's eligibility rules they are pure and aggregate-free, so this
         matches what the inline evaluation would have computed.  Fetched
         values are cached per read *node*; :meth:`eval_expr` consumes the
         cache instead of issuing individual callbacks.  The reply has one

@@ -62,17 +62,18 @@ class ArrayValue:
 
 
 class ObjectValue:
-    """An instance of a class: a field dictionary plus an identity."""
+    """An instance of a class: a field dictionary plus an identity.
 
-    _id_counter = 0
+    ``oid`` numbers the objects of one run from 1
+    (:meth:`repro.runtime.interpreter.Interpreter.new_object`), so a split
+    class's ``open`` events do not depend on what ran before."""
 
     __slots__ = ("class_name", "fields", "oid")
 
-    def __init__(self, class_name, fields):
+    def __init__(self, class_name, fields, oid):
         self.class_name = class_name
         self.fields = fields
-        ObjectValue._id_counter += 1
-        self.oid = ObjectValue._id_counter
+        self.oid = oid
 
     def __repr__(self):
         return "ObjectValue(%s#%d)" % (self.class_name, self.oid)

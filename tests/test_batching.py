@@ -1,20 +1,13 @@
 """The communication optimisation layer (docs/PROTOCOL.md): send
-coalescing, prefetch manifests, callback batching, and the --batching
+coalescing, prefetch plans, callback batching, and the --batching
 off/on equivalence guarantees."""
-
-import json
 
 import pytest
 
 from repro import obs
-from repro.core.deploy import export_split_json, import_split
+from repro.core.deploy import export_split, export_split_json, import_split
 from repro.core.hidden import FragmentKind, HiddenFragment
-from repro.core.prefetch import (
-    RESULT,
-    collect_prefetch,
-    resolve_prefetch,
-    touches_open_aggregates,
-)
+from repro.core.prefetch import prefetch_plan, touches_open_aggregates
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
 from repro.lang.parser import parse_expression, parse_statements
@@ -29,7 +22,7 @@ from repro.runtime.remote import remote_server, run_split_remote
 from repro.runtime.splitrun import run_split
 
 #: the hidden statement reads two open array elements, so the prefetch
-#: manifest batches them into one fetch_batch callback per iteration
+#: plan batches them into one fetch_batch callback per iteration
 SOURCE = """
 func int f(int x, int[] B) {
     int a = x;
@@ -121,7 +114,7 @@ def test_latency_model_rejects_negative_parameters():
         LatencyModel(per_value_us=-1.0)
 
 
-# -- prefetch manifests -------------------------------------------------------
+# -- prefetch plans -----------------------------------------------------------
 
 
 def _fragment(body_src, result_src=None, params=("i",)):
@@ -136,59 +129,107 @@ def _fragment(body_src, result_src=None, params=("i",)):
 
 def test_manifest_emitted_for_two_reads():
     frag = _fragment("a = B[i] + B[i + 1];")
-    manifest = collect_prefetch(frag)
-    assert len(manifest) == 1
-    assert len(manifest[0]["reads"]) == 2
-    stmt_map, result_reads = resolve_prefetch(frag)
+    stmt_map, result_reads = prefetch_plan(frag)
     assert result_reads == []
+    assert list(stmt_map) == [id(frag.body[0])]
     [reads] = stmt_map.values()
-    assert len(reads) == 2
+    assert reads == [frag.body[0].value.left, frag.body[0].value.right]
 
 
 def test_single_read_not_worth_batching():
     frag = _fragment("a = a + B[i];")
-    assert collect_prefetch(frag) == []
+    assert prefetch_plan(frag) == ({}, [])
 
 
 def test_short_circuit_rhs_excluded():
     # B[i + 1] may never be evaluated; prefetching it could fault on an
     # index the program deliberately guards against
     frag = _fragment("ok = B[i] > 0 && B[i + 1] > 0;")
-    assert collect_prefetch(frag) == []
+    assert prefetch_plan(frag) == ({}, [])
 
 
 def test_result_expression_manifest():
     frag = _fragment("int t = i;", result_src="B[i] + B[i + 1]")
-    manifest = collect_prefetch(frag)
-    assert [entry["at"] for entry in manifest] == [RESULT]
-    _stmt_map, result_reads = resolve_prefetch(frag)
-    assert len(result_reads) == 2
+    stmt_map, result_reads = prefetch_plan(frag)
+    assert stmt_map == {}
+    assert result_reads == [frag.result_expr.left, frag.result_expr.right]
 
 
 def test_impure_index_not_batchable():
     # B[C[i]] itself cannot be prefetched (its index reads open memory),
     # but the inner C[i] and the sibling B[i] can
     frag = _fragment("a = B[C[i]] + B[i];")
-    [entry] = collect_prefetch(frag)
-    assert len(entry["reads"]) == 2
-    stmt_map, _ = resolve_prefetch(frag)
+    stmt_map, _ = prefetch_plan(frag)
     [reads] = stmt_map.values()
-    bases = sorted(read.base.name for read in reads)
-    assert bases == ["B", "C"]
+    assert [read.base.name for read in reads] == ["C", "B"]
+
+
+def test_plan_covers_nested_statements_and_for_headers():
+    frag = _fragment(
+        "for (int k = B[i] + B[0]; k < 3; k = k + B[1] * B[2]) {"
+        "  if (k > 0) { a = B[k] - B[0]; } }"
+    )
+    loop = frag.body[0]
+    stmt_map, _ = prefetch_plan(frag)
+    inner = loop.body[0].then_body[0]
+    assert set(stmt_map) == {id(loop.init), id(loop.update), id(inner)}
+    assert all(len(reads) == 2 for reads in stmt_map.values())
 
 
 def test_manifest_survives_json_round_trip():
-    frag = _fragment("a = B[i] + B[i + 1];")
-    frag.prefetch = json.loads(json.dumps(collect_prefetch(frag)))
-    stmt_map, _ = resolve_prefetch(frag)
-    assert len(stmt_map) == 1
+    # a deployed fragment is re-parsed from source text; its plan is
+    # derived from the parsed fragment and batches the same reads
+    sp = _split()
+    deployed = import_split(export_split_json(sp))
+    shapes = []
+    for program in (sp, deployed):
+        [(_name, fragments, _storage)] = program.registry().values()
+        shapes.append(sorted(
+            (label, sorted(len(r) for r in prefetch_plan(frag)[0].values()))
+            for label, frag in fragments.items()
+        ))
+    assert shapes[0] == shapes[1]
+    assert any(counts for _label, counts in shapes[0])
+
+
+#: ``ok``'s right-hand read is guarded: with x = 5 the original never
+#: evaluates B[5]
+GUARDED = """
+func int f(int x, int[] B) {
+    int a = x;
+    bool ok = a < 3 && B[a] > 0;
+    if (ok) {
+        a = a + 10;
+    }
+    return a;
+}
+func void main(int x) {
+    int[] B = new int[3];
+    print(f(x, B));
+}
+"""
 
 
 def test_stale_manifest_is_skipped_not_fatal():
-    frag = _fragment("a = B[i] + B[i + 1];")
-    frag.prefetch = [{"at": [["stmt", 9]], "reads": [[["value", None]]]}]
-    stmt_map, result_reads = resolve_prefetch(frag)
-    assert stmt_map == {} and result_reads == []
+    # a manifest that still carries the old path-encoded ``prefetch`` key
+    # (here naming the guarded B[a]) imports with the key ignored, so a
+    # batched run never prefetches a read the original skipped
+    program = parse_program(GUARDED)
+    sp = split_program(program, check_program(program), [("f", "a")])
+    manifest = export_split(sp)
+    [spec] = [spec for spec in manifest["functions"]["f"]["fragments"]
+              if "&&" in spec["body"]]
+    at = next(i for i, stmt in enumerate(parse_statements(spec["body"]))
+              if getattr(stmt, "name", None) == "ok")
+    spec["prefetch"] = [{"at": [["stmt", at]],
+                         "reads": [[["init", None], ["right", None],
+                                    ["left", None]]]}]
+    deployed = import_split(manifest)
+    result = run_split(deployed, args=(5,), latency=LatencyModel.instant(),
+                       batching=True)
+    assert result.output == ["5"]
+    kinds = {e.kind for e in result.channel.transcript.events}
+    assert "cb_batch" not in kinds and "cb_fetch" not in kinds
 
 
 def test_touches_open_aggregates():
@@ -196,15 +237,14 @@ def test_touches_open_aggregates():
     assert not touches_open_aggregates(_fragment("a = a + i;"))
 
 
-def test_splitter_emits_manifests():
+def test_split_fragments_carry_no_plan():
+    # the splitter stamps nothing: the plan is the hidden host's to derive
     sp = _split()
-    manifests = [
-        frag.prefetch
-        for split in sp.splits.values()
-        for frag in split.fragments.values()
-    ]
-    assert all(m is not None for m in manifests)
-    assert any(m for m in manifests)  # the two-read statement got one
+    frags = [frag for split in sp.splits.values()
+             for frag in split.fragments.values()]
+    assert not any(hasattr(frag, "prefetch") or hasattr(frag, "purity")
+                   for frag in frags)
+    assert any(prefetch_plan(frag)[0] for frag in frags)
 
 
 # -- end-to-end ---------------------------------------------------------------
@@ -244,15 +284,13 @@ def test_remote_batching_matches_simulated_traffic():
     assert remote.channel.coalesced_messages == simulated.channel.coalesced_messages
 
 
-def test_deployed_manifest_ships_prefetch():
+def test_deployed_manifest_batches_without_a_plan():
     sp = _split()
-    deployed = import_split(export_split_json(sp))
-    frags = [
-        frag
-        for _name, fragments, _storage in deployed.registry().values()
-        for frag in fragments.values()
-    ]
-    assert any(frag.prefetch for frag in frags)
+    manifest = export_split(sp)
+    specs = [spec for entry in manifest["functions"].values()
+             for spec in entry["fragments"]]
+    assert not any("prefetch" in spec for spec in specs)
+    deployed = import_split(manifest)
     off = run_split(sp, args=(2,), latency=LatencyModel.instant())
     on = run_split(deployed, args=(2,), latency=LatencyModel.instant(),
                    batching=True)

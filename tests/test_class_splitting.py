@@ -49,6 +49,20 @@ def test_equivalence_across_inputs():
         check_equivalence(program, sp, args=args)
 
 
+def test_transcript_does_not_depend_on_earlier_runs():
+    # the object ids a split class's ``new`` sends are numbered per run
+    _, _, sp = setup()
+    first, second = (run_split(sp, args=(40,)) for _ in range(2))
+    events = [
+        [(e.kind, e.hid, e.fn_name, e.label, e.sent, e.result)
+         for e in result.channel.transcript.events]
+        for result in (first, second)
+    ]
+    assert events[0] == events[1]
+    assert [e[4] for e in events[0] if e[0] == "open" and e[1] is None] \
+        == [(1,), (2,)]
+
+
 def test_instances_isolated():
     program, _, sp = setup()
     result = run_split(sp, args=(40,))

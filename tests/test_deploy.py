@@ -6,14 +6,19 @@ import pytest
 
 from repro.core.classes import split_class
 from repro.cli import _load_tenants
-from repro.core.deploy import export_split, export_split_json, import_split
+from repro.core.deploy import (
+    export_split,
+    export_split_json,
+    import_hidden,
+    import_split,
+)
 from repro.core.globals import hide_global
 from repro.core.program import split_program
 from repro.lang import parse_program, check_program
 from repro.lang.errors import LangError
 from repro.runtime.remote import remote_server, run_split_remote
+from repro.runtime.server import Tenant
 from repro.runtime.splitrun import run_original, run_split
-from repro.runtime.values import ObjectValue
 
 
 SOURCE = """
@@ -141,6 +146,62 @@ def test_manifest_fragments_are_source_text():
     assert any("while (" in b for b in bodies)  # the hidden loop ships as source
 
 
+def test_fragment_specs_hold_the_fragment_only():
+    for make, _args in CASES.values():
+        manifest = export_split(make())
+        for entry in manifest["functions"].values():
+            for spec in entry["fragments"]:
+                assert sorted(spec) == sorted(
+                    ["label", "kind", "params", "body", "result", "set_var"]
+                )
+
+
+# -- manifests carrying derived facts ------------------------------------------
+
+#: ``deposit`` writes the hidden global on every call, and main calls it
+#: twice with the same amount: 100 + 38 + 38
+BANK = """
+global int balance = 100;
+func void deposit(int amount) {
+    int fee = amount / 20;
+    balance = balance + amount - fee;
+}
+func void main(int a) {
+    deposit(a);
+    deposit(a);
+    print(balance);
+}
+"""
+
+
+def _forged_bank_manifest():
+    """The BANK split's manifest with every ``deposit`` fragment carrying
+    an old-style ``purity`` stamp that calls it cacheable."""
+    program, checker = _checked(BANK)
+    manifest = export_split(hide_global(program, checker, "balance"))
+    for spec in manifest["functions"]["deposit"]["fragments"]:
+        spec["purity"] = {
+            "cacheable": True, "reason": "", "writes_hidden_store": False,
+            "env_reads": [], "reads_globals": False, "reads_fields": False,
+        }
+    assert run_original(program, args=(40,)).output == ["176"]
+    return manifest
+
+
+def test_forged_purity_is_ignored_in_process():
+    deployed = import_split(_forged_bank_manifest())
+    assert run_split(deployed, args=(40,), cache=True).output == ["176"]
+
+
+def test_forged_purity_is_ignored_by_a_served_tenant():
+    manifest = _forged_bank_manifest()
+    tenant = Tenant("bank", *import_hidden(manifest))
+    with remote_server(tenants=[tenant]) as address:
+        result = run_split_remote(import_split(manifest), address,
+                                  args=(40,), program="bank", cache=True)
+    assert result.output == ["176"]
+
+
 # -- hidden-only import (what repro serve reads) --------------------------------------
 
 #: kind of hidden state -> (its split, the arguments of main)
@@ -164,7 +225,7 @@ def _wire_events(result):
 
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_manifest_without_open_program_serves_like_the_source_split(
-        tmp_path, monkeypatch, kind):
+        tmp_path, kind):
     make, args = CASES[kind]
     sp = make()
     manifest = export_split(sp)
@@ -173,11 +234,7 @@ def test_manifest_without_open_program_serves_like_the_source_split(
     path.write_text(json.dumps(manifest))
     [tenant] = _load_tenants([str(path)])
     assert tenant.name == "app"
-    # object ids (sent when a split instance is created) come from a
-    # process-wide counter: start both runs from the same one
-    monkeypatch.setattr(ObjectValue, "_id_counter", 0)
     local = run_split(sp, args=args)
-    monkeypatch.setattr(ObjectValue, "_id_counter", 0)
     with remote_server(tenants=[tenant]) as address:
         remote = run_split_remote(sp, address, args=args)
     assert (remote.value, remote.output) == (local.value, local.output)

@@ -1,7 +1,7 @@
 """Differential tests: every engine is bit-identical to the AST engine.
 
-Every example program and every Table 5 workload runs under all registered
-engines (``repro.runtime.ENGINES``: ast, compiled, codegen) — original and
+Every example program, every Table 5 workload and the two hidden-storage
+splits (a hidden global, a split class) run under all registered engines (``repro.runtime.ENGINES``: ast, compiled, codegen) — original and
 split, batching on and off, fragment result cache on and off — and must
 agree on outputs, return values, step counts, per-statement-kind metric
 counts, and the full channel transcript.  Error paths (step limit, runtime
@@ -15,6 +15,8 @@ import pathlib
 import pytest
 
 from repro import obs
+from repro.core.classes import split_class
+from repro.core.globals import hide_global
 from repro.core.pipeline import auto_split
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
@@ -26,6 +28,8 @@ from repro.runtime.interpreter import M_STEPS, M_STMTS, Interpreter, StepLimitEx
 from repro.runtime.splitrun import run_split
 from repro.runtime.values import RuntimeErr
 from repro.workloads.corpora import SPECS, build_corpus
+from tests.test_class_splitting import ACCOUNT
+from tests.test_globals_hiding import BANK
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "programs"
 
@@ -133,6 +137,26 @@ def test_example_split_bit_identical(example):
     program, checker, args = example
     sp = auto_split(program, checker)
     assert sp.splits, "example should produce at least one split"
+    _assert_engines_agree_split(sp, args)
+
+
+# -- hidden storage -----------------------------------------------------------
+
+#: split kind -> (how to split, the source, the arguments of main): the
+#: fragments of these splits read and write hidden storage outside the
+#: activation ("global" and "field" routes), and the class split's ``new``
+#: sends object ids
+STORAGE_SPLITS = {
+    "global": (lambda p, c: hide_global(p, c, "balance"), BANK, (40,)),
+    "field": (lambda p, c: split_class(p, c, "Account"), ACCOUNT, (40,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STORAGE_SPLITS))
+def test_hidden_storage_split_bit_identical(kind):
+    split, source, args = STORAGE_SPLITS[kind]
+    program = parse_program(source)
+    sp = split(program, check_program(program))
     _assert_engines_agree_split(sp, args)
 
 

@@ -240,7 +240,7 @@ def test_store_callback_from_a_hostile_daemon_is_refused(scripted, frame):
     interp = Interpreter(parse_program("func void main() { }"))
     env = Env(None)
     env.locals["B"] = ArrayValue([1, 2, 3])
-    env.locals["p"] = ObjectValue("Box", {"a": 1})
+    env.locals["p"] = ObjectValue("Box", {"a": 1}, 1)
     server = scripted(script)
     runtime = RemoteHiddenRuntime(server.address, policy=FAST)
     try:

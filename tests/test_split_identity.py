@@ -25,11 +25,11 @@ from repro.workloads.corpora import build_corpus
 from repro.workloads.inputs import TABLE5_RUNS
 
 MANIFEST_SHA256 = {
-    "bloat": "9c1ea9350c75ee810c8a6e024cca46ddd83494da4fcd103983c8c5bc12015e4b",
-    "jasmin": "dee1020abfdca0c74e10069c1b5c13d451cfd9f96e27c7b85c1df0872bdebf52",
-    "javac": "3b7818c0d1fde92caa51181232cc7c80e015268f0dee2e23bbfb4296f8aa3f93",
-    "jess": "52094a971c2ce7be4b4e02d9dbe4ed6502b0f4bf1b93a233a7f0eb55e83ef5a6",
-    "jfig": "6c5a2c939fba4fccb775578bfebf67a00a9c7916c8769bfc7afee0ac20f5f830",
+    "bloat": "731b03abc17e515bc320a0fa2701a8f1e0c032b6db63865516a96f044a1fb09c",
+    "jasmin": "ed3fa175e42fec9de3a67e417f6b45eb0086e3ea07f28df11128063220f163e7",
+    "javac": "b33cbd63d47abaa52dd3b9e7d4eba706ce92e1b196948ebf42760ff44e5944cc",
+    "jess": "11d2f4f145c05fa7a88a4fa95ac244aa1482accd597bc7a6f0a601b0e1edfb47",
+    "jfig": "3afba34041ed6db840b799601e1aa5f51235226ca4da656347dd7da9aefb855b",
 }
 
 # the cheapest Table 5 row: jess "hard", 11 interactions

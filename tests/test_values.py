@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.lang import parse_program
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.values import (
     ArrayValue,
-    ObjectValue,
     RuntimeErr,
     binary_op,
     call_builtin,
@@ -111,9 +112,13 @@ def test_default_values():
 
 
 def test_object_identity():
-    a = ObjectValue("C", {})
-    c = ObjectValue("C", {})
-    assert a.oid != c.oid
+    interp = Interpreter(parse_program("func void main() { }"))
+    a = interp.new_object("C", {})
+    c = interp.new_object("C", {})
+    assert (a.oid, c.oid) == (1, 2)
+    # numbering is per interpreter: a second run starts from 1 again
+    fresh = Interpreter(parse_program("func void main() { }"))
+    assert fresh.new_object("C", {}).oid == 1
 
 
 def test_builtins():
