@@ -24,7 +24,7 @@ def main(argv=None):
         "names",
         nargs="*",
         help="which experiments (table1..table5, rtattr, loadgen, profile, "
-        "cache, fig2, fig3, attack, ledger); default all but ledger",
+        "fig2, fig3, attack, ledger); default all but ledger",
     )
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
@@ -50,8 +50,6 @@ def main(argv=None):
         "loadgen": lambda: experiments.run_loadgen_experiment(
             scale=min(args.scale, 0.3)),
         "profile": lambda: experiments.run_profile_experiment(
-            scale=min(args.scale, 0.3)),
-        "cache": lambda: experiments.run_cache_experiment(
             scale=min(args.scale, 0.3)),
         "fig2": lambda: experiments.run_fig2_experiment(engine=args.engine),
         "fig3": lambda: experiments.run_fig3_experiment(engine=args.engine),

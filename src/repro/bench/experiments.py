@@ -432,174 +432,6 @@ def run_loadgen_experiment(scale=0.3, clients_total=100, iterations=1,
     return ExperimentResult("loadgen", data, table)
 
 
-# -- Fragment result cache over the corpora -----------------------------------
-
-
-def _observable_tuple(result):
-    """Everything a run exposes: value, output, steps, full transcript."""
-    events = []
-    if result.channel is not None and result.channel.transcript is not None:
-        events = [
-            (e.seq, e.kind, e.hid, e.fn_name, e.label, e.sent, e.result)
-            for e in result.channel.transcript.events
-        ]
-    return (result.value, tuple(result.output), result.steps_open,
-            result.steps_hidden, result.interactions, events)
-
-
-def run_cache_experiment(scale=0.3, clients=4, iterations=6, engines=None,
-                         runs=None):
-    """Transparency and payoff of the fragment result cache (docs/CACHING.md).
-
-    Two parts, the ``cache`` section of the benchmark ledger
-    (``BENCH.json``, gated by ``tools/check_bench.py``):
-
-    * **equivalence** — every Table 5 corpus x every engine, ``cache=True``
-      against ``cache=False`` through :func:`run_split`: return value,
-      output, both step counts, and the full channel transcript must be
-      bit-identical (the gate is 0 divergences);
-    * **replay** — a repeat-heavy loadgen replay (``iterations`` script
-      repetitions per client, each over one connection and therefore one
-      warm session cache) of every corpus against a caching daemon,
-      reporting per-tenant hit rates, the fragment executions the cache
-      saved, and wall/CPU deltas against an identical uncached run.
-    """
-    import time
-
-    from repro.loadgen import run_loadgen
-    from repro.loadgen.replay import script_from_transcript
-    from repro.runtime import ENGINES
-    from repro.runtime.remote import HiddenComponentServer
-    from repro.runtime.server import Tenant
-
-    engines = list(engines) if engines else list(ENGINES)
-    runs = runs if runs is not None else TABLE5_RUNS
-    picked = []
-    for run in runs:  # first driver invocation of each benchmark
-        if all(p.benchmark != run.benchmark for p in picked):
-            picked.append(run)
-
-    # part 1: bit-identity of cache on vs off, corpus x engine
-    divergences = 0
-    equivalence = {}
-    scripts = {}
-    for run in picked:
-        sp = split_corpus(run.benchmark, scale)
-        cells = equivalence.setdefault(run.benchmark, {})
-        for engine in engines:
-            off = run_split(sp, args=(run.n, run.m),
-                            latency=LatencyModel.instant(), engine=engine)
-            on = run_split(sp, args=(run.n, run.m),
-                           latency=LatencyModel.instant(), engine=engine,
-                           cache=True)
-            identical = _observable_tuple(off) == _observable_tuple(on)
-            cells[engine] = {"identical": identical,
-                             "interactions": off.interactions}
-            if not identical:
-                divergences += 1
-            if engine == DEFAULT_ENGINE:
-                scripts[run.benchmark] = script_from_transcript(
-                    off.channel.transcript)
-
-    # part 2: repeat-heavy replay against a caching vs a plain daemon
-    def replay(cache_on):
-        tenants = [
-            Tenant.from_program(run.benchmark,
-                                split_corpus(run.benchmark, scale))
-            for run in picked
-        ]
-        server = HiddenComponentServer(tenants=tenants, cache=cache_on)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        reports = {}
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        try:
-            # sequential fleets: the CPU delta should reflect caching,
-            # not cross-tenant scheduling noise
-            for run in picked:
-                reports[run.benchmark] = run_loadgen(
-                    server.address, scripts[run.benchmark], clients=clients,
-                    iterations=iterations, program=run.benchmark,
-                    cache=cache_on)
-            wall = time.perf_counter() - wall0
-            cpu = time.process_time() - cpu0
-            # session teardown (which folds per-session cache stats into
-            # server.cache_stats) runs on the daemon's session threads;
-            # give the folds a moment to settle
-            def total():
-                return sum(sum(s.values())
-                           for s in server.cache_stats.values())
-            deadline = time.perf_counter() + 2.0
-            last = -1
-            while time.perf_counter() < deadline and total() != last:
-                last = total()
-                time.sleep(0.05)
-        finally:
-            server.shutdown()
-            thread.join(timeout=2.0)
-        return reports, dict(server.cache_stats), wall, cpu
-
-    reports_off, _stats_off, wall_off, cpu_off = replay(False)
-    reports_on, stats_on, wall_on, cpu_on = replay(True)
-
-    table = Table(
-        "Fragment result cache: %d clients x %d iterations per corpus"
-        % (clients, iterations),
-        ["Tenant", "Calls", "Hits", "Hit rate", "Execs off", "Execs on",
-         "Saved"],
-    )
-    tenants_data = {}
-    for run in picked:
-        name = run.benchmark
-        stats = stats_on.get(name, {})
-        hits = stats.get("hits", 0)
-        misses = stats.get("misses", 0)
-        probes = hits + misses
-        calls_off = reports_off[name]["op_counts"].get("call", 0)
-        calls_on = reports_on[name]["op_counts"].get("call", 0)
-        execs_on = calls_on - hits
-        hit_rate = hits / probes if probes else 0.0
-        tenants_data[name] = {
-            "calls": calls_on,
-            "hits": hits,
-            "misses": misses,
-            "evictions": stats.get("evictions", 0),
-            "invalidations": stats.get("invalidations", 0),
-            "hit_rate": round(hit_rate, 4),
-            "fragment_executions": {"off": calls_off, "on": execs_on},
-            "errors": {
-                "off": sum(reports_off[name]["errors"].values()),
-                "on": sum(reports_on[name]["errors"].values()),
-            },
-            "latency_ms": {
-                "off": reports_off[name]["latency_ms"],
-                "on": reports_on[name]["latency_ms"],
-            },
-        }
-        table.add_row(
-            name, calls_on, hits, "%.0f%%" % (100.0 * hit_rate),
-            calls_off, execs_on, calls_off - execs_on,
-        )
-    data = {
-        "scale": scale,
-        "clients": clients,
-        "iterations": iterations,
-        "engines": engines,
-        "divergences": divergences,
-        "equivalence": equivalence,
-        "tenants": tenants_data,
-        # corpora on which the cache saved fragment executions
-        "improved": sum(t["fragment_executions"]["on"]
-                        < t["fragment_executions"]["off"]
-                        for t in tenants_data.values()),
-        "totals": {
-            "wall_s": {"off": round(wall_off, 4), "on": round(wall_on, 4)},
-            "cpu_s": {"off": round(cpu_off, 4), "on": round(cpu_on, 4)},
-        },
-    }
-    return ExperimentResult("cache", data, table)
-
-
 # -- Continuous profiling over the corpora ------------------------------------
 
 

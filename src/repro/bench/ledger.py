@@ -1,7 +1,7 @@
 """The benchmark ledger: every speed claim perfbench does not cover, in one
 document (``BENCH.json``, gated by ``tools/check_bench.py``).
 
-Five sections, each composed from experiment code:
+Four sections, each composed from experiment code:
 
 * ``engines`` — warm statements/second of every engine
   (``repro.runtime.ENGINES``) on a tight arithmetic loop and on the five
@@ -13,9 +13,7 @@ Five sections, each composed from experiment code:
 * ``load`` — 100 synthetic clients against one daemon serving the four
   Table 5 corpora as tenants (``run_loadgen_experiment``);
 * ``profile`` — sample attribution per corpus and engine
-  (``run_profile_experiment``);
-* ``cache`` — transparency and payoff of the fragment result cache
-  (``run_cache_experiment``).
+  (``run_profile_experiment``).
 
 The whole run is pinned to one CPU, as perfbench's is.  Every gated number
 is a ratio against a baseline measured alongside it (an engine against the
@@ -36,7 +34,6 @@ from contextlib import contextmanager
 from repro import obs
 from repro.bench.experiments import (
     ExperimentResult,
-    run_cache_experiment,
     run_loadgen_experiment,
     run_profile_experiment,
 )
@@ -87,7 +84,7 @@ TIGHT_LOOP_N = 50_000
 #: corpus scale and driver arguments of the engine workloads
 ENGINE_SCALE = 0.25
 CORPUS_ARGS = (2, 30)
-#: corpus scale of the load, profile and cache sections
+#: corpus scale of the load and profile sections
 SECTION_SCALE = 0.3
 #: interleaved rounds per engine repeat, each timing at least MIN_S
 ROUNDS = 5
@@ -253,8 +250,7 @@ def run_ledger():
     with pinned_cpu():
         doc = {"engines": engines(), "telemetry": telemetry()}
         results = {"load": run_loadgen_experiment(scale=SECTION_SCALE),
-                   "profile": run_profile_experiment(scale=SECTION_SCALE),
-                   "cache": run_cache_experiment(scale=SECTION_SCALE)}
+                   "profile": run_profile_experiment(scale=SECTION_SCALE)}
     doc.update((name, r.data) for name, r in results.items())
 
     table = Table("Benchmark ledger: speedup over ast (median of repeats)",

@@ -36,7 +36,6 @@ from repro.analysis.selfcontained import analyze_self_contained
 from repro.core.pipeline import prepare_split
 from repro.lang import check_program, parse_program
 from repro.core.splitter import SplitError
-from repro.fuzz.selfcheck import PLANTS
 from repro.lang.errors import LangError
 from repro.runtime.values import RuntimeErr
 from repro.lang.pretty import pretty_function
@@ -216,7 +215,6 @@ def cmd_run_split(args, out):
             run_args = _parse_args_list(args.args)
             batching = getattr(args, "batching", "off") == "on"
             engine = getattr(args, "engine", DEFAULT_ENGINE)
-            cache = getattr(args, "cache", "off") == "on"
             trace = getattr(args, "trace", False)
             if trace and not args.remote:
                 print(
@@ -233,8 +231,7 @@ def cmd_run_split(args, out):
                                           batching=batching, engine=engine,
                                           trace=trace,
                                           program=getattr(args, "program",
-                                                          None),
-                                          cache=cache)
+                                                          None))
                 for line in result.output:
                     print(line, file=out)
                 print(
@@ -262,7 +259,7 @@ def cmd_run_split(args, out):
             latency = _LATENCIES[args.latency]()
             result = run_split(sp, entry=args.entry, args=run_args,
                                latency=latency, batching=batching,
-                               engine=engine, cache=cache)
+                               engine=engine)
             for line in result.output:
                 print(line, file=out)
             summary = result.channel.transcript.summary()
@@ -380,8 +377,6 @@ def cmd_serve(args, out):
             engine=getattr(args, "engine", DEFAULT_ENGINE),
             max_sessions=getattr(args, "max_sessions", None),
             idle_timeout_s=getattr(args, "idle_timeout", None),
-            cache=getattr(args, "cache", "on") == "on",
-            cache_quota=getattr(args, "cache_quota", None),
         )
         collector = None
         if expo is not None:
@@ -443,7 +438,6 @@ def cmd_loadgen(args, out):
             mode=args.mode, program=args.program,
             think_scale=args.think_scale, seed=args.seed,
             timeout_s=args.timeout, slo=slo, scrape=args.scrape,
-            cache=getattr(args, "cache", "off") == "on",
         )
     if args.output:
         with open(args.output, "w") as f:
@@ -786,12 +780,10 @@ def cmd_fuzz(args, out):
 
     with _telemetry_session(args, out):
         if args.self_check:
-            plant = getattr(args, "plant", "engine")
-            report = selfcheck.run_selfcheck(seed=args.seed, configs=configs,
-                                             plant=plant)
+            report = selfcheck.run_selfcheck(seed=args.seed, configs=configs)
             print(
-                "self-check: planted %s bug, fuzzed %d program(s)"
-                % (plant, report.programs_tried), file=out)
+                "self-check: planted engine bug, fuzzed %d program(s)"
+                % report.programs_tried, file=out)
             if not report.caught:
                 print("self-check FAILED: planted bug was not caught", file=out)
                 return 1
@@ -906,15 +898,6 @@ def build_parser():
             "observable behaviour is bit-identical",
         )
 
-    def cache_flag(p, default="off"):
-        p.add_argument(
-            "--cache", choices=["on", "off"], default=default,
-            help="hidden-side fragment result cache (docs/CACHING.md): "
-            "memoize pure fragment executions, invalidated on every "
-            "hidden-store write; results, steps, and channel traffic "
-            "are bit-identical either way (default: %s)" % default,
-        )
-
     p = sub.add_parser("run", help="run a program unmodified")
     common(p, with_selection=False)
     p.add_argument("--args", nargs="*", default=[], help="entry arguments")
@@ -946,7 +929,6 @@ def build_parser():
     )
     batching_flag(p)
     engine_flag(p)
-    cache_flag(p)
     metrics_flag(p)
     events_flags(p)
     expo_flag(p)
@@ -992,15 +974,6 @@ def build_parser():
         "consumed by 'repro top' and loadgen soak reports)",
     )
     engine_flag(p)
-    # the daemon grants caching per session; clients still opt in with
-    # their own --cache on, so serving with the default costs nothing
-    cache_flag(p, default="on")
-    p.add_argument(
-        "--cache-quota", type=int, metavar="ENTRIES", dest="cache_quota",
-        help="per-tenant cap on cached fragment results, shared across "
-        "all of the tenant's sessions (default: unbounded tenants, "
-        "each session individually LRU-bounded)",
-    )
     metrics_flag(p)
     events_flags(p)
     expo_flag(p)
@@ -1058,7 +1031,6 @@ def build_parser():
                    help="write the machine-readable report (JSON) here")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (default: text)")
-    cache_flag(p)
     metrics_flag(p)
     p.set_defaults(fn=cmd_loadgen)
 
@@ -1248,12 +1220,6 @@ def build_parser():
     p.add_argument("--self-check", action="store_true", dest="self_check",
                    help="plant a known bug and verify the fuzzer catches, "
                    "minimizes, and clears it")
-    p.add_argument("--plant", choices=PLANTS,
-                   default="engine",
-                   help="which bug --self-check plants: 'engine' perturbs "
-                   "hidden int results (any split cell catches it), "
-                   "'stale-cache' skips cache invalidation (only the "
-                   "cache-on cells can; docs/CACHING.md)")
     p.add_argument("--replay", metavar="FILE.mj",
                    help="re-run one corpus repro through the oracle instead "
                    "of fuzzing")

@@ -8,9 +8,9 @@ smart card or secure server.  This module provides that packaging:
   into a JSON-able manifest — the open program as source text, every
   hidden fragment as (label, kind, params, body source, result source,
   set variable), plus the storage metadata.  Nothing derived from a
-  fragment ships with it: the hidden host derives its prefetch plan and
-  purity verdict from the parsed fragment itself, so a manifest cannot
-  make it batch a guarded read or memoize a store-writing fragment;
+  fragment ships with it: the hidden host derives its prefetch plan from
+  the parsed fragment itself, so a manifest cannot make it batch a
+  guarded read;
 * :func:`import_hidden` reads only the hidden half of a manifest — the
   fragment registry and hidden-state initialisers a secure host serves —
   and never parses ``open_program``;

@@ -36,9 +36,8 @@ class HiddenFragment:
     ``result_expr`` (if any) is evaluated and returned.
 
     The fragment is all a hidden host is given: what it needs to know
-    beyond it — which reads to batch (:mod:`repro.core.prefetch`), whether
-    a call may be memoized (:mod:`repro.core.purity`) — it derives from
-    the fragment (:class:`repro.runtime.server.FragmentFacts`).
+    beyond it — which reads to batch (:mod:`repro.core.prefetch`) — it
+    derives from the fragment (:class:`repro.runtime.server.FragmentFacts`).
 
     A body assigning to an array element or a field raises ``ValueError``.
     """

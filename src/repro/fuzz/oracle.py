@@ -6,7 +6,7 @@ matrix must match its printed output, return value and errors.
 
 The matrix is derived from :data:`AXES` (docs/TESTING.md).  Its valid
 combinations are :data:`PRODUCT`, each cell named
-``{split|socket}-{engine}[-batch][-cache][-traced]``; socket cells pick
+``{split|socket}-{engine}[-batch][-traced]``; socket cells pick
 the *client* engine, the in-process daemon runs the default one.  The
 default :data:`CONFIGS` is one ``original-{engine}`` cell per other
 engine plus a greedy pairwise cover of :data:`PRODUCT`.  Two rules hold
@@ -18,7 +18,7 @@ in its transcript), each group checked against its first cell:
   equal open steps, and in-process ones equal hidden steps too;
 * **traffic** — split cells equal on :data:`TRAFFIC_AXES` record equal
   transcripts, event for event (kind, activation, function, label, sent
-  values, result): engines, transport, cache and tracing are
+  values, result): engines, transport and tracing are
   traffic-neutral (docs/PROTOCOL.md).
 
 A program whose automatic selection finds nothing to split (or where an
@@ -48,8 +48,8 @@ M_DIVERGENCES = declare("repro_fuzz_divergences_total", "counter",
 DEFAULT_MAX_STEPS = 2_000_000
 
 
-class Config(namedtuple("Config", "engine split socket batching cache trace",
-                        defaults=(True, False, False, False, False))):
+class Config(namedtuple("Config", "engine split socket batching trace",
+                        defaults=(True, False, False, False))):
     """One cell of the execution matrix, named after its axis values."""
 
     __slots__ = ()
@@ -60,7 +60,6 @@ class Config(namedtuple("Config", "engine split socket batching cache trace",
                      else "original")
         return "-".join([transport, self.engine] + [
             suffix for suffix, on in (("batch", self.batching),
-                                      ("cache", self.cache),
                                       ("traced", self.trace)) if on])
 
 
@@ -73,7 +72,6 @@ AXES = {
     "socket": (False, True),
     "engine": ENGINES,
     "batching": (False, True),
-    "cache": (False, True),
     "trace": (False, True),
 }
 
@@ -202,10 +200,10 @@ def _run_config(config, program, sp, address, args, max_steps):
         return _observe(lambda: run_split_remote(
             sp, address, args=args, max_steps=max_steps,
             batching=config.batching, engine=config.engine,
-            trace=config.trace, cache=config.cache))
+            trace=config.trace))
     return _observe(lambda: run_split(
         sp, args=args, latency=LatencyModel.instant(), max_steps=max_steps,
-        batching=config.batching, engine=config.engine, cache=config.cache))
+        batching=config.batching, engine=config.engine))
 
 
 def _diff_behaviour(config_name, base, obs_, args):
@@ -277,8 +275,7 @@ def run_matrix(source, arg_sets, configs=None, choices=None, hide=None,
     ``arg_sets`` is a sequence of argument tuples for ``main``.  With
     ``hide`` set to a global variable name the split is produced by
     :func:`repro.core.globals.hide_global` instead of variable choices —
-    the only way to get hidden *storage* (and therefore cache
-    invalidation traffic) into the matrix.  Returns a
+    the only way to get hidden *storage* into the matrix.  Returns a
     :class:`MatrixResult`; ``result.divergences`` is empty when every
     configuration agrees.
     """

@@ -53,6 +53,9 @@ class SyntheticClient:
     the closed-loop mode.  ``barrier`` (if given) is waited on after the
     handshake, so a harness can guarantee all clients are connected —
     i.e. truly concurrent sessions — before any load is offered.
+
+    ``cache`` is accepted for callers written against the removed
+    fragment result cache; it is ignored and never sent.
     """
 
     def __init__(self, address, script, program=None, iterations=1,
@@ -66,7 +69,6 @@ class SyntheticClient:
         self.rng = rng
         self.timeout_s = timeout_s
         self.barrier = barrier
-        self.cache = cache
 
     def run(self):
         result = ClientResult()
@@ -107,14 +109,12 @@ class SyntheticClient:
     # -- plumbing --------------------------------------------------------------
 
     def _connect(self):
-        # the same negotiation a real client performs; a daemon serving
-        # --cache off answers without enabling and the replay proceeds
-        # uncached (docs/CACHING.md)
+        # the same negotiation a real client performs
         policy = ConnectionPolicy(timeout_s=self.timeout_s,
                                   connect_retries=_CONNECT_ATTEMPTS,
                                   retry_backoff_s=_CONNECT_BACKOFF_S)
         return open_session(self.address, policy,
-                            {"program": self.program, "cache": self.cache})
+                            {"program": self.program})
 
     def _replay_once(self, rfile, wfile, functions, classes, result):
         hid_stack = []

@@ -81,12 +81,8 @@ def slo_ok(report):
 
 def run_loadgen(address, script, clients=8, iterations=1, mode="closed",
                 program=None, think_scale=1.0, seed=0, timeout_s=10.0,
-                slo=None, scrape=None, cache=False):
+                slo=None, scrape=None):
     """Replay ``script`` as ``clients`` concurrent synthetic sessions.
-
-    ``cache=True`` makes every session negotiate the server's fragment
-    result cache (docs/CACHING.md) — iterating clients then replay
-    against warm session caches, the repeat-heavy shape the cache is for.
 
     Returns the machine-readable report dict: offered load, throughput,
     exact merged p50/p95/p99 (plus any gated percentile), error counts,
@@ -104,7 +100,7 @@ def run_loadgen(address, script, clients=8, iterations=1, mode="closed",
             address, script, program=program, iterations=iterations,
             think_scale=effective_think,
             rng=random.Random("%s:%d" % (seed, i)) if mode == "open" else None,
-            timeout_s=timeout_s, barrier=barrier, cache=cache,
+            timeout_s=timeout_s, barrier=barrier,
         )
 
         def _run(i=i, client=client):
@@ -160,7 +156,6 @@ def run_loadgen(address, script, clients=8, iterations=1, mode="closed",
         "clients": clients,
         "mode": mode,
         "iterations": iterations,
-        "cache": bool(cache),
         "script_ops": summarize(script),
         "ops": ops,
         "op_counts": op_counts,

@@ -39,9 +39,6 @@ Event schema (``type`` field):
 ``deopt``        ``side, fn, reason, where`` — one codegen fallback to
                  the closure tier, with its reason code and source
                  location (docs/OBSERVABILITY.md, "Deopt attribution")
-``cache``        ``event, fn, label, program`` — one fragment-cache
-                 transition (``hit``/``miss``/``evict``/
-                 ``invalidate``), docs/CACHING.md
 ===============  =====================================================
 
 All events also carry ``seq`` (monotonic, 1-based) and ``ts_us``

@@ -187,9 +187,8 @@ def render_top(doc):
     lines = [
         "repro top — %d snapshot(s), interval %.1fs, health: %s"
         % (len(snaps), doc.get("interval_s", 0.0), health),
-        "  %-20s %10s %10s %9s %10s %9s %7s"
-        % ("program", "rt/s", "exec p95", "clients", "sessions", "deopt/s",
-           "hit%"),
+        "  %-20s %10s %10s %9s %10s %9s"
+        % ("program", "rt/s", "exec p95", "clients", "sessions", "deopt/s"),
     ]
     deopt_rate = (
         _counter_total_rate(prev, cur, "repro_codegen_deopt_total", dt)
@@ -213,23 +212,10 @@ def render_top(doc):
         clients = str(int(clients_sample["value"])) if clients_sample else "0"
         sess_sample = _sample_map(cur, "repro_remote_sessions_total").get(key)
         sessions = str(int(sess_sample["value"])) if sess_sample else "0"
-        # cumulative fragment-cache hit rate (docs/CACHING.md); dash when
-        # the program has never probed the cache (cache off, or no calls)
-        hits_sample = _sample_map(cur, "repro_cache_hits_total").get(key)
-        misses_sample = _sample_map(cur, "repro_cache_misses_total").get(key)
-        probes = (hits_sample["value"] if hits_sample else 0) + (
-            misses_sample["value"] if misses_sample else 0
-        )
-        hit_pct = (
-            "%.0f%%" % (100.0 * (hits_sample["value"] if hits_sample else 0)
-                        / probes)
-            if probes else "-"
-        )
         lines.append(
-            "  %-20s %10s %10s %9s %10s %9s %7s"
+            "  %-20s %10s %10s %9s %10s %9s"
             % (program, ops_rate, p95, clients, sessions,
-               "%.2f" % deopt_rate if deopt_rate is not None else "-",
-               hit_pct)
+               "%.2f" % deopt_rate if deopt_rate is not None else "-")
         )
     return "\n".join(lines)
 

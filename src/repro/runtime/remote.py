@@ -37,7 +37,6 @@ import time
 
 from repro import obs
 from repro.obs.metrics import RT_PHASE_BUCKETS, declare
-from repro.runtime.cache import CacheQuota, FragmentCache
 from repro.runtime.channel import Channel, LatencyModel, Link
 from repro.runtime import DEFAULT_ENGINE
 from repro.runtime.interpreter import Interpreter
@@ -55,6 +54,13 @@ PROTOCOL_VERSION = 4
 #: is refused with a typed error and the session closed, so a peer cannot
 #: grow memory without bound by never sending a newline.
 MAX_FRAME_BYTES = 4 * 1024 * 1024
+
+#: live activations one session may hold.  An open component holds one per
+#: frame of a split function on its call stack, and the interpreter stops
+#: at 400 frames by default; a Table 5 pass over TCP peaks at one.  An
+#: ``open`` past the limit gets an error reply and the session stays up,
+#: so a client that never closes cannot grow the daemon without bound.
+MAX_SESSION_ACTIVATIONS = 4096
 
 #: exported metric names (documented in docs/OBSERVABILITY.md)
 M_CLIENTS = declare("repro_remote_clients", "gauge",
@@ -252,19 +258,11 @@ class HiddenComponentServer:
       frames coalescing more than this many messages;
     - ``drain_grace_s``: how long :meth:`serve_forever` waits for in-flight
       requests to finish after :meth:`drain`.
-
-    ``cache`` is the daemon's fragment-cache *policy* (docs/CACHING.md):
-    with it on (default), a client's ``hello`` with ``cache: true`` gets a
-    session-private :class:`~repro.runtime.cache.FragmentCache`; with it
-    off every request is refused (answered but not enabled), so operators
-    can rule caching out fleet-wide.  ``cache_quota`` bounds the *total*
-    cached entries per tenant across all its sessions.
     """
 
     def __init__(self, tenants, host="127.0.0.1", port=0,
                  engine=DEFAULT_ENGINE, max_sessions=None, idle_timeout_s=None,
-                 max_batch_msgs=1024, drain_grace_s=10.0, cache=True,
-                 cache_quota=None):
+                 max_batch_msgs=1024, drain_grace_s=10.0):
         self._tenants = {}
         for tenant in tenants:
             self.add_tenant(tenant)
@@ -276,12 +274,6 @@ class HiddenComponentServer:
         self.idle_timeout_s = idle_timeout_s
         self.max_batch_msgs = max_batch_msgs
         self.drain_grace_s = drain_grace_s
-        self.cache_enabled = bool(cache)
-        self._cache_quota_entries = cache_quota
-        self._cache_quotas = {}  # program -> CacheQuota, created lazily
-        self._cache_lock = threading.Lock()
-        #: program -> aggregated cache counters of *finished* sessions
-        self.cache_stats = {}
         self._sock = socket.create_server((host, port))
         # accept() wakes every 0.2 s to notice shutdown/drain
         self._sock.settimeout(0.2)
@@ -314,29 +306,6 @@ class HiddenComponentServer:
         # never select one) plus the program directory
         return {"proto": PROTOCOL_VERSION, "programs": list(self._tenants),
                 **self._default.client_facts()}
-
-    def _cache_quota(self, program):
-        """The tenant's shared entry quota, or None when unbounded."""
-        if self._cache_quota_entries is None:
-            return None
-        with self._cache_lock:
-            quota = self._cache_quotas.get(program)
-            if quota is None:
-                quota = CacheQuota(self._cache_quota_entries)
-                self._cache_quotas[program] = quota
-            return quota
-
-    def _fold_cache_stats(self, program, cache):
-        """Accumulate a finished session's cache counters per tenant (the
-        ``repro.bench`` cache experiment reads these)."""
-        stats = cache.stats()
-        with self._cache_lock:
-            agg = self.cache_stats.setdefault(
-                program,
-                {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0},
-            )
-            for key in agg:
-                agg[key] += stats[key]
 
     def _now_us(self):
         """Microseconds on this server's event timebase — the recorder's
@@ -452,7 +421,6 @@ class _ClientSession:
         self.tenant = None
         self.inner = None
         self.batching = False
-        self.cache = False
         self._used = False
         # metric children, bound with the tenant (telemetry on only)
         self._m_clients = self._m_exec = None
@@ -487,10 +455,6 @@ class _ClientSession:
             # every other session keep going
             server._count_session_error("disconnect")
         finally:
-            cache = None if self.inner is None else self.inner.hidden.cache
-            if cache is not None:
-                server._fold_cache_stats(self.tenant.name, cache)
-                cache.release_all()
             if self._m_clients is not None:
                 self._m_clients.dec()
             with contextlib.suppress(OSError):
@@ -596,7 +560,6 @@ class _ClientSession:
     def _bind(self, tenant):
         self.tenant = tenant
         self.inner = self.server._new_inner(tenant, self.batching)
-        self._apply_cache()
         metrics = self.server._metrics
         if metrics is not None:
             # live scrape support (--expo-port): how many client sessions
@@ -604,23 +567,6 @@ class _ClientSession:
             self._m_clients = metrics.gauge(M_CLIENTS, program=tenant.name)
             self._m_clients.inc()
             metrics.counter(M_SESSIONS, program=tenant.name).inc()
-
-    def _apply_cache(self):
-        """Create (or drop) the inner server's session cache to match the
-        negotiated flag; entries charge against the tenant's shared quota
-        (docs/CACHING.md)."""
-        if self.inner is None:
-            return
-        hidden = self.inner.hidden
-        if self.cache and hidden.cache is None:
-            hidden.cache = FragmentCache(
-                program=self.tenant.name,
-                quota=self.server._cache_quota(self.tenant.name),
-            )
-        elif not self.cache and hidden.cache is not None:
-            self.server._fold_cache_stats(self.tenant.name, hidden.cache)
-            hidden.cache.release_all()
-            hidden.cache = None
 
     def _ensure_bound(self):
         if self.inner is None:
@@ -650,9 +596,13 @@ class _ClientSession:
     # -- dispatch --------------------------------------------------------------
 
     def _op_open(self, msg, *_):
+        inner = self._ensure_bound()
+        if len(inner.hidden.activations) >= MAX_SESSION_ACTIVATIONS:
+            raise RuntimeErr(
+                "session already holds %d live activations, the limit; "
+                "close one first" % MAX_SESSION_ACTIVATIONS)
         receiver = _Oid(msg["oid"]) if "oid" in msg else None
-        return self._ensure_bound().open_activation(msg["fn_id"],
-                                                    receiver=receiver)
+        return inner.open_activation(msg["fn_id"], receiver=receiver)
 
     def _op_close(self, msg, *_):
         self._ensure_bound().close_activation(msg["hid"])
@@ -674,10 +624,8 @@ class _ClientSession:
         # capability negotiation (docs/PROTOCOL.md): every requested field
         # is applied in one pass — program selection binds the session to
         # a tenant, batching turns on the server half (fetch_batch
-        # callbacks), cache asks for a session fragment cache, honoured
-        # only under the daemon's --cache policy — and one merged reply
-        # carries the program facts, the cache grant, and this server's
-        # event-timebase epoch for trace clock alignment
+        # callbacks) — and one merged reply carries the program facts and
+        # this server's event-timebase epoch for trace clock alignment
         if "program" in msg:
             self._select_program(msg["program"])
         if "batching" in msg:
@@ -685,12 +633,9 @@ class _ClientSession:
             if self.inner is not None:
                 self.inner.batching = self.batching
                 self.inner.hidden.batching = self.batching
-        if "cache" in msg:
-            self.cache = msg["cache"] and self.server.cache_enabled
-            self._apply_cache()
         return {"ok": True,
                 **(self.tenant or self.server._default).client_facts(),
-                "cache": self.cache, "epoch_us": self.server._now_us()}
+                "epoch_us": self.server._now_us()}
 
     def _op_shutdown(self, *_):
         # clean session end: close without replying (docs/PROTOCOL.md)
@@ -733,8 +678,7 @@ _OPS = {
     "new_instance": (_ClientSession._op_new_instance,
                      {"class": str, "oid": int}, {}),
     "hello": (_ClientSession._op_hello, {},
-              {"program": str, "batching": bool, "cache": bool,
-               "trace": dict}),
+              {"program": str, "batching": bool, "trace": dict}),
     "batch": (_ClientSession._op_batch, {"msgs": list}, {}),
     "shutdown": (_ClientSession._op_shutdown, {}, {}),
 }
@@ -773,7 +717,7 @@ class _Oid:
 
 #: a connected client session, as :func:`open_session` leaves it:
 #: ``facts`` is the handshake updated with the ``hello`` reply (the
-#: selected program's facts, the ``cache`` grant), ``clock_sync`` the
+#: selected program's facts), ``clock_sync`` the
 #: trace clock alignment (``None`` untraced), ``attempts`` the connects
 #: it took
 Session = collections.namedtuple(
@@ -785,8 +729,8 @@ def open_session(address, policy, hello_fields):
     negotiate capabilities in at most one ``hello`` (docs/PROTOCOL.md,
     "Capability negotiation").
 
-    ``hello_fields`` maps the capabilities ``program``, ``batching``,
-    ``cache`` and ``trace`` (``{"id": trace_id}``) to what is requested;
+    ``hello_fields`` maps the capabilities ``program``, ``batching`` and
+    ``trace`` (``{"id": trace_id}``) to what is requested;
     ``None`` and ``False`` request nothing.  With nothing requested no
     ``hello`` is sent, so a bare client speaks revision-1 traffic.  The
     ``hello`` is uncounted: it is written to the socket directly, never
@@ -903,13 +847,13 @@ class RemoteHiddenRuntime:
     One uncounted ``hello`` (:func:`open_session`; none if nothing is
     asked) negotiates ``batching`` (server prefetch), ``trace`` (frames
     stamped ``tc: [trace_id, cseq]``, clocks aligned, each request's
-    measured phases left in :attr:`phases`), ``cache`` (docs/CACHING.md)
-    and ``program`` (a named program; an older server refuses it with
+    measured phases left in :attr:`phases`) and ``program`` (a named
+    program; an older server refuses it with
     :class:`ChannelProtocolError`).  None of them changes the account.
     """
 
     def __init__(self, address, batching=False, policy=None, trace=False,
-                 trace_id=None, program=None, cache=False):
+                 trace_id=None, program=None):
         self.batching = batching
         self.policy = policy or ConnectionPolicy()
         self.trace = bool(trace)
@@ -921,7 +865,7 @@ class RemoteHiddenRuntime:
         self.phases = None  # traced: the last answered request's phases
         self._recorder = obs.get_recorder()
         session = open_session(address, self.policy, {
-            "program": program, "batching": batching, "cache": bool(cache),
+            "program": program, "batching": batching,
             "trace": {"id": self.trace_id} if self.trace else None,
         })
         self._sock = session.sock
@@ -1095,13 +1039,13 @@ def run_split_remote(split_program, address, entry="main", args=(),
     context and per-phase latency measurements (docs/OBSERVABILITY.md);
     the result grows a ``trace_sync`` attribute with the clock-alignment
     handshake outcome.  ``program`` selects a named program on a
-    multi-tenant daemon (docs/OPERATIONS.md); ``cache=True`` requests the
-    server-side fragment result cache (docs/CACHING.md).  Accounting
-    stays bit-identical either way, and equal to :func:`~repro.runtime.
+    multi-tenant daemon (docs/OPERATIONS.md).  ``cache`` is accepted for
+    callers written against the removed fragment result cache; it is
+    ignored and never sent.  Accounting equals :func:`~repro.runtime.
     splitrun.run_split`'s: the same :class:`~repro.runtime.channel.Link`
     charges both."""
     runtime = RemoteHiddenRuntime(address, batching=batching, policy=policy,
-                                  trace=trace, program=program, cache=cache)
+                                  trace=trace, program=program)
     try:
         link = runtime.link()
         interp = Interpreter(

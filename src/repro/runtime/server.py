@@ -24,8 +24,6 @@ from repro.obs import profile as _profile
 from repro.lang import ast
 from repro.core.hidden import FragmentKind
 from repro.core.prefetch import prefetch_plan, touches_open_aggregates
-from repro.core.purity import classify_fragment
-from repro.runtime.cache import CacheEntry, FragmentCache, tag_value
 from repro.runtime.channel import Channel, LatencyModel, Link
 # control flow is shared with the compiled engine (repro.runtime.compile)
 from repro.runtime.compile import (
@@ -65,15 +63,14 @@ class FragmentFacts:
     Derived once per tenant, the first time a session needs it, and then
     shared read-only by every session the tenant mints: the fragment's
     function name and storage map, whether a call to it is one-way, its
-    prefetch plan, its purity verdict, and its compiled body per
-    ``(engine, counting)``.  Every fact comes from the fragment and its
-    storage map; a deployment manifest carries none of them.  Each is
-    computed on its first use, under the tenant's lock, which a hit never
-    takes.
+    prefetch plan, and its compiled body per ``(engine, counting)``.
+    Every fact comes from the fragment and its storage map; a deployment
+    manifest carries none of them.  Each is computed on its first use,
+    under the tenant's lock, which a hit never takes.
     """
 
     __slots__ = ("fragment", "fn_name", "storage", "_one_way", "_prefetch",
-                 "_purity", "_bodies", "_lock")
+                 "_bodies", "_lock")
 
     def __init__(self, fragment, fn_name, storage, lock):
         self.fragment = fragment
@@ -81,7 +78,6 @@ class FragmentFacts:
         self.storage = storage
         self._one_way = None
         self._prefetch = None
-        self._purity = None
         self._bodies = {}
         self._lock = lock
 
@@ -106,16 +102,6 @@ class FragmentFacts:
                 if self._prefetch is None:
                     self._prefetch = prefetch_plan(self.fragment)
         return self._prefetch
-
-    def purity(self):
-        """The fragment's cacheability verdict against the split's storage
-        map (:func:`repro.core.purity.classify_fragment`)."""
-        if self._purity is None:
-            with self._lock:
-                if self._purity is None:
-                    self._purity = classify_fragment(self.fragment,
-                                                     self.storage)
-        return self._purity
 
     def body(self, engine, counting):
         """The fragment lowered by ``engine`` (``"compiled"`` or
@@ -224,12 +210,12 @@ class Tenant:
                 "deferrable": deferrable, "functions": dict(self.functions)}
 
     def new_server(self, engine=DEFAULT_ENGINE, max_steps=20_000_000,
-                   batching=False, cache=False):
+                   batching=False):
         """A fresh :class:`HiddenServer` over this tenant's facts, with
         private copies of the initial hidden state (see
         :class:`HiddenServer` for the options)."""
         return HiddenServer(self, max_steps=max_steps, batching=batching,
-                            engine=engine, cache=cache)
+                            engine=engine)
 
     def new_link(self, channel=None, batching=False, **options):
         """A fresh in-process session: a :class:`~repro.runtime.channel.
@@ -262,7 +248,7 @@ class HiddenServer:
     or per daemon session) decides what crosses the channel."""
 
     def __init__(self, tenant, max_steps=20_000_000, batching=False,
-                 engine=DEFAULT_ENGINE, cache=False):
+                 engine=DEFAULT_ENGINE):
         """Built by :meth:`Tenant.new_server` only: ``tenant`` supplies the
         fragment registry and its derived facts, and the initial values
         of hidden globals (global-hiding mode) and of the hidden fields of
@@ -279,12 +265,6 @@ class HiddenServer:
         ``"codegen"`` emits real Python source per fragment via
         :func:`repro.runtime.codegen.codegen_fragment`; ``"ast"`` walks
         the tree.  All three are observably bit-identical.
-
-        ``cache`` enables the Hf-side fragment result cache
-        (:mod:`repro.runtime.cache`, docs/CACHING.md): fragments the
-        purity pass proves cacheable have their executions memoized,
-        bit-identically to uncached execution.  The cache is this
-        server's own, labelled with the tenant's name.
         """
         self.tenant = tenant
         self.activations = {}
@@ -295,7 +275,6 @@ class HiddenServer:
         self.instances = {}  # oid -> {hidden field: value}
         self.batching = batching
         self.engine = validate_engine(engine)
-        self.cache = FragmentCache(program=tenant.name) if cache else None
         count_engine("hidden", self.engine)
         registry = self._registry = obs.active_registry()
         self._recorder = obs.get_recorder()
@@ -332,44 +311,7 @@ class HiddenServer:
         if fields is None:
             return False
         self.instances[obj.oid] = dict(fields)
-        if self.cache is not None:
-            # new hidden field storage came into existence: a store write
-            self.cache.invalidate(fn=obj.class_name)
         return True
-
-    # -- result caching ----------------------------------------------------------
-
-    def _cache_key(self, activation, label, values, verdict):
-        """The content key for one cacheable call, or ``None`` when any
-        input is a non-scalar (unkeyable: execute for real).
-
-        Components (docs/CACHING.md): fragment identity, type-tagged sent
-        values, type-tagged snapshot of the ``env_reads`` names, and — only
-        for fragments reading hidden globals/fields — the invalidation
-        epoch plus (for field readers) the receiver's instance id."""
-        tagged = []
-        for value in values:
-            t = tag_value(value)
-            if t is None:
-                return None
-            tagged.append(t)
-        env = activation.env
-        env_key = []
-        for name in verdict.env_reads:
-            # default 0 mirrors _read_name's read-before-write rule
-            t = tag_value(env.get(name, 0))
-            if t is None:
-                return None
-            env_key.append((name, t))
-        epoch = (
-            self.cache.epoch
-            if verdict.reads_globals or verdict.reads_fields
-            else None
-        )
-        oid = activation.receiver_oid if verdict.reads_fields else None
-        return (
-            activation.fn_id, label, tuple(tagged), tuple(env_key), epoch, oid
-        )
 
     # -- fragment execution ------------------------------------------------------
 
@@ -388,68 +330,21 @@ class HiddenServer:
         env = activation.env
         for name, value in zip(fragment.params, values):
             env[name] = value
+        return self._execute(activation, facts, label, access)
+
+    def _execute(self, activation, facts, label, access):
+        """Run one call's fragment in ``activation``, reading open memory
+        through ``access``, the call's callback window."""
+        fragment = facts.fragment
+        fn_name = facts.fn_name
         stmt_counts = {} if self._registry is not None else None
         steps_before = self.steps
         wall_t0 = time.perf_counter() if self._recorder is not None else 0.0
-        cache = self.cache
-        verdict = None
-        cache_key = None
-        entry = None
-        if cache is not None:
-            # classified for *every* fragment: uncacheable fragments that
-            # write the hidden store must still invalidate (below)
-            verdict = facts.purity()
-            if verdict.cacheable:
-                cache_key = self._cache_key(activation, label, values, verdict)
-                if cache_key is not None:
-                    entry = cache.lookup(
-                        cache_key, fn=fn_name, label=label,
-                        max_steps_left=(
-                            None
-                            if self.max_steps is None
-                            else self.max_steps - self.steps
-                        ),
-                    )
-        if entry is not None:
-            # transparent replay: the recorded step count, statement mix,
-            # activation-env writes, and result of the filling execution —
-            # then exactly the accounting a real execution performs
-            self.steps += entry.steps
-            if entry.env_writes:
-                env.update(entry.env_writes)
-            if stmt_counts is not None and entry.stmt_counts:
-                for kind, count in entry.stmt_counts.items():
-                    stmt_counts[kind] = stmt_counts.get(kind, 0) + count
-            result = entry.result
-            self._account(fn_name, label, stmt_counts,
-                          self.steps - steps_before, wall_t0)
-        else:
-            result = self._execute(
-                activation, facts, label, access, env, stmt_counts,
-                steps_before, wall_t0, cache, verdict, cache_key,
-            )
-        return result
-
-    def _execute(self, activation, facts, label, access, env, stmt_counts,
-                 steps_before, wall_t0, cache, verdict, cache_key):
-        """Really execute the fragment (a cache miss, an unkeyable call, or
-        caching disabled), filling the cache when the call was keyable."""
-        fragment = facts.fragment
-        fn_name = facts.fn_name
-        exec_env = env
-        if cache_key is not None:
-            # a filling execution runs against a write-tracking copy: the
-            # stored entry must replay exactly the names the execution
-            # *wrote*.  A value diff against the pre-call env is unsound —
-            # it drops a write whose value happens to equal the name's
-            # previous one, and a later hit in an activation where that
-            # name differs then fails to re-apply the write.
-            exec_env = _WriteTrackingEnv(env)
         stmt_prefetch, result_reads = None, ()
         if self.batching and access is not None:
             stmt_prefetch, result_reads = facts.prefetch()
         evaluator = _FragmentEvaluator(
-            self, exec_env, access, fn_name, facts.storage,
+            self, activation.env, access, fn_name, facts.storage,
             activation.receiver_oid, stmt_counts=stmt_counts,
             prefetch_map=stmt_prefetch,
         )
@@ -488,38 +383,11 @@ class HiddenServer:
             # dropped from the registry
             self._account(fn_name, label, stmt_counts,
                           self.steps - steps_before, wall_t0)
-            # an aborted writer may have mutated the store already, so
-            # the epoch bump sits with the other must-run accounting
-            if (
-                cache is not None
-                and verdict is not None
-                and verdict.writes_hidden_store
-            ):
-                cache.invalidate(fn=fn_name, label=label)
-            if cache_key is not None:
-                # fold the tracked writes back into the real activation
-                # env — also on an abort, which mutates the env exactly
-                # like an uncached aborted execution would
-                for name in exec_env.written:
-                    env[name] = exec_env[name]
-        if cache_key is not None:
-            cache.store(
-                cache_key,
-                CacheEntry(
-                    result,
-                    self.steps - steps_before,
-                    stmt_counts=dict(stmt_counts) if stmt_counts else None,
-                    env_writes={
-                        name: exec_env[name] for name in exec_env.written
-                    },
-                ),
-                fn=fn_name, label=label,
-            )
         return result
 
     def _account(self, fn_name, label, stmt_counts, steps, wall_t0):
-        """One call's metrics and flight-recorder event, alike for a real
-        execution (an aborted one too) and a cache replay."""
+        """One call's metrics and flight-recorder event (an aborted
+        execution's too)."""
         if self._registry is not None:
             self._m_fragment_steps.child(fn_name, str(label)).observe(steps)
             self._m_steps.child("hidden").inc(steps)
@@ -536,25 +404,6 @@ class HiddenServer:
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             raise RuntimeErr("hidden server exceeded %d steps" % self.max_steps)
-
-
-class _WriteTrackingEnv(dict):
-    """Activation-env copy that remembers which names were assigned.
-
-    Used only while *filling* the cache: every engine writes activation
-    names with ``env[name] = value``, so the ``written`` set is exactly
-    the replayable write set of the execution (see ``_execute``).
-    """
-
-    __slots__ = ("written",)
-
-    def __init__(self, base):
-        dict.__init__(self, base)
-        self.written = set()
-
-    def __setitem__(self, name, value):
-        self.written.add(name)
-        dict.__setitem__(self, name, value)
 
 
 class _FragmentEvaluator:

@@ -79,8 +79,7 @@ def run_original(program, entry="main", args=(), max_steps=20_000_000,
 
 
 def run_split(split_program, entry="main", args=(), latency=None, record=True,
-              max_steps=20_000_000, batching=False, engine=DEFAULT_ENGINE,
-              cache=False):
+              max_steps=20_000_000, batching=False, engine=DEFAULT_ENGINE):
     """Execute a split program: open components in the interpreter, hidden
     fragments on a :class:`~repro.runtime.server.HiddenServer`, behind the
     :class:`~repro.runtime.channel.Link` that charges the channel.
@@ -89,10 +88,6 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
     coalescing + callback batching, docs/PROTOCOL.md); results and output
     are unchanged, only the channel traffic shape differs.
 
-    ``cache=True`` turns on the hidden server's fragment result cache
-    (docs/CACHING.md); results, output, steps, and channel traffic are
-    all bit-identical to an uncached run.
-
     ``engine`` selects the execution strategy on *both* sides
     (docs/ENGINE.md); the engines are observably bit-identical."""
     with obs.span("run.split", entry=entry):
@@ -100,7 +95,6 @@ def run_split(split_program, entry="main", args=(), latency=None, record=True,
         # a fresh tenant per run: nothing derived is shared across runs
         link = Tenant.from_program("default", split_program).new_link(
             channel, engine=engine, max_steps=max_steps, batching=batching,
-            cache=cache,
         )
         interp = Interpreter(split_program.program, hidden_runtime=link,
                              max_steps=max_steps, engine=engine)

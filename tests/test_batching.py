@@ -18,8 +18,11 @@ from repro.runtime.channel import (
     Channel,
     LatencyModel,
 )
+from repro.runtime.interpreter import Interpreter, OpenAccess
 from repro.runtime.remote import remote_server, run_split_remote
+from repro.runtime.server import Tenant
 from repro.runtime.splitrun import run_split
+from repro.runtime.values import RuntimeErr
 
 #: the hidden statement reads two open array elements, so the prefetch
 #: plan batches them into one fetch_batch callback per iteration
@@ -296,3 +299,90 @@ def test_deployed_manifest_batches_without_a_plan():
                    batching=True)
     assert on.output == off.output
     assert on.interactions < off.interactions
+
+
+# -- batched-prefetch error paths (regression) --------------------------------
+
+
+def test_short_batch_reply_rejected(monkeypatch):
+    # regression: a fetch_batch reply with the wrong arity used to
+    # partially populate the batch cache via zip() and silently fall back
+    # to unbatched callbacks for the missing reads
+    sp = _split()
+    original = OpenAccess.fetch_batch
+
+    def short_reply(self, items):
+        return original(self, items)[:-1]
+
+    monkeypatch.setattr(OpenAccess, "fetch_batch", short_reply)
+    with pytest.raises(RuntimeErr, match=r"fetch_batch returned 1 values for 2 reads"):
+        run_split(sp, args=(3,), latency=LatencyModel.instant(), batching=True)
+
+
+def test_long_batch_reply_rejected(monkeypatch):
+    sp = _split()
+    original = OpenAccess.fetch_batch
+
+    def long_reply(self, items):
+        values = original(self, items)
+        return values + [0]
+
+    monkeypatch.setattr(OpenAccess, "fetch_batch", long_reply)
+    with pytest.raises(RuntimeErr, match=r"fetch_batch returned 3 values for 2 reads"):
+        run_split(sp, args=(3,), latency=LatencyModel.instant(), batching=True)
+
+
+def test_failed_prefetch_leaves_no_stale_batch_entries(monkeypatch):
+    # an abort mid-prefetch (here: the open side refusing the callback)
+    # must clear the per-statement batch cache so nothing stale survives
+    sp = _split()
+    evaluators = []
+    from repro.runtime import server as server_mod
+
+    original_init = server_mod._FragmentEvaluator.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        evaluators.append(self)
+
+    monkeypatch.setattr(server_mod._FragmentEvaluator, "__init__", tracking_init)
+
+    calls = {"n": 0}
+    original_fetch = OpenAccess.fetch_batch
+
+    def failing_fetch(self, items):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise RuntimeErr("open side refused the batch")
+        return original_fetch(self, items)
+
+    monkeypatch.setattr(OpenAccess, "fetch_batch", failing_fetch)
+    with pytest.raises(RuntimeErr, match="open side refused the batch"):
+        run_split(sp, args=(3,), latency=LatencyModel.instant(), batching=True)
+    assert calls["n"] == 2
+    assert evaluators, "the hidden loop must have built an evaluator"
+    for evaluator in evaluators:
+        assert not evaluator._batch_cache
+
+
+def test_no_partial_traffic_before_arity_check(monkeypatch):
+    # the cb_batch round trip is recorded only after the reply validates,
+    # so a rejected reply leaves no phantom traffic in the transcript
+    sp = _split()
+    original = OpenAccess.fetch_batch
+
+    def short_reply(self, items):
+        return original(self, items)[:-1]
+
+    monkeypatch.setattr(OpenAccess, "fetch_batch", short_reply)
+    with obs.telemetry():
+        channel = Channel(LatencyModel.instant(), record=True)
+        link = Tenant.from_program("default", sp).new_link(
+            channel, batching=True
+        )
+        interp = Interpreter(sp.program, hidden_runtime=link)
+        with pytest.raises(RuntimeErr):
+            interp.run("main", (3,))
+        link.sync()
+    kinds = [e.kind for e in channel.transcript.events]
+    assert "cb_batch" not in kinds

@@ -163,7 +163,7 @@ def test_rt_attribution_over_the_wire():
     assert "Explained" in rendered
 
 
-@pytest.mark.parametrize("names", [["fig2"], ["profile", "cache"]])
+@pytest.mark.parametrize("names", [["fig2"], ["profile", "loadgen"]])
 def test_output_is_a_parser_error_outside_the_ledger(names, tmp_path, capsys):
     from repro.bench.__main__ import main
 

@@ -90,7 +90,8 @@ def test_each_rule_catches_a_planted_deletion(rule):
     ("load.reports.bloat.ops", "load.reports.bloat.ops: missing"),
     ("load.reports.bloat.errors.reply",
      "load.reports.bloat.errors: lacks reply"),
-    ("cache.tenants.jess.hit_rate", "cache.tenants.jess.hit_rate: missing"),
+    ("profile.corpora.jasmin.codegen.attributed_pct",
+     "profile.corpora.jasmin.codegen.attributed_pct: missing"),
     ("profile.corpora.javac.ast.samples",
      "profile.corpora.javac.ast.samples: missing"),
     ("engines.workloads.jess.speedup.codegen",
@@ -148,7 +149,8 @@ def test_fresh_document_argument(tmp_path, capsys):
     fresh.write_text(json.dumps(COMMITTED))
     assert check_bench.main([str(fresh)]) == 0
     doc = copy.deepcopy(COMMITTED)
-    plant(doc, "cache.divergences", 2)
+    plant(doc, "load.reports.jess.errors.protocol", 2)
     fresh.write_text(json.dumps(doc))
     assert check_bench.main([str(fresh)]) == 1
-    assert "cache.divergences: is 2, must be 0" in capsys.readouterr().out
+    assert ("load.reports.jess.errors.protocol: is 2, must be 0"
+            in capsys.readouterr().out)

@@ -11,8 +11,6 @@ import contextlib
 import io
 import json
 import os
-import pathlib
-import runpy
 import signal
 import socket
 import subprocess
@@ -29,7 +27,7 @@ from repro.core.deploy import export_split, export_split_json
 from repro.core.program import split_program
 from repro.lang import check_program, parse_program
 from repro.obs.events import FlightRecorder
-from repro.runtime.cache import M_CACHE_INVALIDATIONS
+from repro.runtime import remote
 from repro.runtime.compile import M_COMPILE_SECONDS
 from repro.runtime.remote import (
     MAX_FRAME_BYTES,
@@ -48,8 +46,6 @@ from repro.runtime.remote import (
 )
 from repro.runtime.server import FragmentFacts, Tenant
 from repro.runtime.splitrun import run_original, run_split
-
-EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 ALPHA = """
 func int f(int x) {
@@ -294,23 +290,6 @@ def test_sessions_of_one_tenant_compile_each_fragment_once(engine):
     assert outputs == [expected.output] * 11
 
 
-def test_new_instance_over_the_daemon_invalidates_like_in_process():
-    # the daemon's new_instance op is the in-process notify_new_instance:
-    # new hidden field storage bumps the session cache's epoch both ways
-    example = runpy.run_path(str(EXAMPLES / "class_splitting.py"))
-    program = parse_program(example["CLASS_SOURCE"])
-    sp = split_class(program, check_program(program), "Meter")
-    with obs.telemetry() as (local, _tracer):
-        expected = run_split(sp, args=(5, 7), cache=True)
-    with remote_server(sp) as address:
-        with obs.telemetry() as (remote, _tracer):
-            result = run_split_remote(sp, address, args=(5, 7), cache=True)
-    assert result.output == expected.output
-    assert local.total(M_CACHE_INVALIDATIONS) > 0
-    assert (remote.total(M_CACHE_INVALIDATIONS)
-            == local.total(M_CACHE_INVALIDATIONS))
-
-
 def test_one_way_calls_never_pile_up_in_the_session_channel():
     _, sp = make(ALPHA)
     server = HiddenComponentServer(tenants=[Tenant.from_program("p", sp)])
@@ -542,7 +521,7 @@ MALFORMED_FRAMES = [
     {"op": "new_instance", "class": "Nope", "oid": 1},
     {"op": "hello", "program": ["alpha"]},
     {"op": "hello", "batching": "yes"},
-    {"op": "hello", "cache": 1},
+    {"op": "hello", "batching": 1},
     {"op": "hello", "trace": "ab"},
     {"op": "batch", "msgs": {"op": "close"}},
     {"op": "batch", "msgs": [[1]]},
@@ -574,6 +553,44 @@ def test_malformed_request_gets_an_error_and_the_session_survives(
     assert opened["result"] == 1
     assert set(reply) == {"error"} and reply["error"]
     assert "result" in after
+    assert thread_errors == []
+
+
+def test_live_activations_per_session_are_bounded(monkeypatch,
+                                                  thread_errors):
+    """An ``open`` past the per-session limit gets an error naming it and
+    the session stays up; closing one activation makes room again, and
+    another session has its own count."""
+    monkeypatch.setattr(remote, "MAX_SESSION_ACTIVATIONS", 3)
+    _, sp = make(ALPHA)
+    with remote_server(sp) as address:
+        sock, rfile, wfile = _wire(address)
+        other, other_r, other_w = _wire(address)
+        try:
+            _recv(rfile)
+            _recv(other_r)
+            opened = []
+            for _ in range(4):
+                _send(wfile, {"op": "open", "fn_id": 0})
+                opened.append(_recv(rfile))
+            _send(other_w, {"op": "open", "fn_id": 0})
+            other_opened = _recv(other_r)
+            _send(wfile, {"op": "close", "hid": 1})
+            closed = _recv(rfile)
+            _send(wfile, {"op": "open", "fn_id": 0})
+            reopened = _recv(rfile)
+            _send(wfile, {"op": "call", "hid": 2, "label": 0, "values": [5]})
+            called = _recv(rfile)
+        finally:
+            _hangup(sock)
+            _hangup(other)
+    assert [r.get("result") for r in opened[:3]] == [1, 2, 3]
+    assert set(opened[3]) == {"error"}
+    assert "3 live activations" in opened[3]["error"]
+    assert other_opened == {"result": 1}
+    assert closed == {"result": None}
+    assert reopened == {"result": 4}
+    assert "result" in called
     assert thread_errors == []
 
 
@@ -669,7 +686,7 @@ def test_revision_3_single_field_hellos_get_their_old_reply_keys():
             replies = {}
             for field, value in [("program", "alpha"),
                                  ("trace", {"id": "ab", "t": 1.0}),
-                                 ("cache", True), ("batching", True)]:
+                                 ("batching", True)]:
                 _send(wfile, {"op": "hello", field: value})
                 replies[field] = _recv(rfile)["result"]
             _send(wfile, {"op": "open", "fn_id": 0})
@@ -681,7 +698,6 @@ def test_revision_3_single_field_hellos_get_their_old_reply_keys():
     assert "classes" in program and "deferrable" in program
     assert replies["trace"]["ok"] is True
     assert isinstance(replies["trace"]["epoch_us"], (int, float))
-    assert replies["cache"]["cache"] is True
     assert replies["batching"]["ok"] is True
     assert "result" in opened
 
@@ -706,8 +722,25 @@ def _hellos_received(**options):
 
 def test_a_session_sends_at_most_one_hello():
     assert _hellos_received() == 0
-    assert _hellos_received(program="p", batching=True, cache=True,
-                            trace=True) == 1
+    assert _hellos_received(program="p", batching=True, trace=True) == 1
+
+
+def test_a_cache_request_is_ignored():
+    """Hf has no result cache: ``run_split_remote(cache=True)`` sends no
+    ``hello`` for it, and a ``hello`` from an older client that still asks
+    gets an ``ok`` reply with no ``cache`` key."""
+    assert _hellos_received(cache=True) == 0
+    _, sp = make(ALPHA)
+    with remote_server(sp) as address:
+        sock, rfile, wfile = _wire(address)
+        try:
+            _recv(rfile)
+            _send(wfile, {"op": "hello", "cache": True})
+            reply = _recv(rfile)
+        finally:
+            _hangup(sock)
+    assert reply["result"]["ok"] is True
+    assert "cache" not in reply["result"]
 
 
 def test_mid_handshake_disconnect_does_not_leak_or_kill_the_daemon():

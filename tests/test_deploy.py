@@ -176,7 +176,8 @@ func void main(int a) {
 
 def _forged_bank_manifest():
     """The BANK split's manifest with every ``deposit`` fragment carrying
-    an old-style ``purity`` stamp that calls it cacheable."""
+    the ``purity`` stamp an older manifest may have, calling it
+    cacheable; an import ignores the key."""
     program, checker = _checked(BANK)
     manifest = export_split(hide_global(program, checker, "balance"))
     for spec in manifest["functions"]["deposit"]["fragments"]:
@@ -190,7 +191,7 @@ def _forged_bank_manifest():
 
 def test_forged_purity_is_ignored_in_process():
     deployed = import_split(_forged_bank_manifest())
-    assert run_split(deployed, args=(40,), cache=True).output == ["176"]
+    assert run_split(deployed, args=(40,)).output == ["176"]
 
 
 def test_forged_purity_is_ignored_by_a_served_tenant():
@@ -198,7 +199,7 @@ def test_forged_purity_is_ignored_by_a_served_tenant():
     tenant = Tenant("bank", *import_hidden(manifest))
     with remote_server(tenants=[tenant]) as address:
         result = run_split_remote(import_split(manifest), address,
-                                  args=(40,), program="bank", cache=True)
+                                  args=(40,), program="bank")
     assert result.output == ["176"]
 
 

@@ -2,7 +2,7 @@
 
 Every example program, every Table 5 workload and the two hidden-storage
 splits (a hidden global, a split class) run under all registered engines (``repro.runtime.ENGINES``: ast, compiled, codegen) — original and
-split, batching on and off, fragment result cache on and off — and must
+split, batching on and off — and must
 agree on outputs, return values, step counts, per-statement-kind metric
 counts, and the full channel transcript.  Error paths (step limit, runtime
 errors) must agree on message text and on the partial metrics flushed
@@ -70,11 +70,11 @@ def _observed_original(program, args, engine):
     }
 
 
-def _observed_split(sp, args, engine, batching, cache=False):
+def _observed_split(sp, args, engine, batching):
     with obs.telemetry() as (registry, _tracer):
         result = run_split(
             sp, args=args, latency=LatencyModel.instant(),
-            batching=batching, engine=engine, cache=cache,
+            batching=batching, engine=engine,
         )
         if engine == "codegen":
             assert _deopts(registry) == 0, "codegen deopted"
@@ -102,20 +102,14 @@ def _assert_engines_agree_original(program, args):
 
 def _assert_engines_agree_split(sp, args):
     for batching in (False, True):
-        observed = {
-            (e, cache): _observed_split(sp, args, e, batching, cache)
-            for e in ENGINES
-            for cache in (False, True)
-        }
-        # every engine, cached or not, against the plain AST run: a cache
-        # hit must replay the exact steps, metrics, and transcript of the
-        # execution it memoized (docs/CACHING.md)
-        for key in observed:
-            assert observed[("ast", False)] == observed[key], (
-                "engine/cache %r diverged from ast (batching=%r)"
-                % (key, batching)
+        observed = {e: _observed_split(sp, args, e, batching)
+                    for e in ENGINES}
+        for engine in ENGINES:
+            assert observed["ast"] == observed[engine], (
+                "engine %r diverged from ast (batching=%r)"
+                % (engine, batching)
             )
-        assert observed[("ast", False)]["events"]
+        assert observed["ast"]["events"]
 
 
 # -- example programs ---------------------------------------------------------

@@ -416,9 +416,43 @@ def test_selfcheck_catches_minimizes_and_clears():
     assert report.passed
 
 
-def test_stale_cache_selfcheck_implicates_cache_cells_only():
-    report = selfcheck.run_selfcheck(seed=0, plant="stale-cache")
-    assert report.passed
+#: a hidden global read around a write to it: with ``hide="secret"`` the
+#: reads and the write are hidden-global traffic in every cell
+HIDDEN_GLOBAL = """\
+global int secret = 3;
+
+func int peek(int k) {
+    return secret + k;
+}
+
+func void main(int k) {
+    print(peek(k));
+    secret = secret + k;
+    print(peek(k));
+}
+"""
+
+
+def test_hidden_storage_runs_the_whole_default_matrix():
+    """``run_matrix(hide=...)`` puts hidden-global storage under every
+    default cell: the handcrafted reader, and each generated program of
+    seeds 0-19 that declares ``g0``, agree everywhere; the engine plant is
+    caught there, in split cells only."""
+    result = oracle.run_matrix(HIDDEN_GLOBAL, [(2,), (5,)], hide="secret")
+    assert result.divergences == []
+    hidden = 0
+    for seed in range(20):
+        program, arg_sets = generate_program(seed)
+        if not any(g.name == "g0" for g in program.globals):
+            continue
+        hidden += 1
+        result = oracle.run_matrix(pretty(program), arg_sets, hide="g0")
+        assert result.divergences == [], (seed, [
+            d.describe() for d in result.divergences])
+    assert hidden == 9
+    with selfcheck.planted_engine_bug():
+        planted = oracle.run_matrix(HIDDEN_GLOBAL, [(2,), (5,)],
+                                    hide="secret")
     cells = {c.name: c for c in oracle.CONFIGS}
-    assert report.divergences
-    assert all(cells[d.config].cache for d in report.divergences)
+    assert planted.diverged
+    assert all(cells[d.config].split for d in planted.divergences)

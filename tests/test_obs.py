@@ -317,7 +317,7 @@ def _registry_lookups(monkeypatch, n):
 
     monkeypatch.setattr(Registry, "_get", counting_get)
     with obs.telemetry(recorder=FlightRecorder()):
-        result = run_split(sp, args=(n,), batching=True, cache=True)
+        result = run_split(sp, args=(n,), batching=True)
     assert result.interactions > n
     return len(calls)
 

@@ -67,15 +67,6 @@ RULES = (
     ("profile.corpora.*.*.attributed_pct", "higher", 95.0),
     ("profile.corpora.*.*.samples", "min", 100),
     ("profile.corpora.*.codegen.deopts.total", "zero", None),
-    ("cache.divergences", "zero", None),
-    ("cache.equivalence", "has", CORPORA),
-    ("cache.equivalence.*", "has", ENGINES),
-    ("cache.equivalence.*.*.identical", "true", None),
-    ("cache.tenants", "has", CORPORA),
-    ("cache.tenants.*.hit_rate", "higher", 0.5),
-    ("cache.tenants.*.errors", "has", ("off", "on")),
-    ("cache.tenants.*.errors.*", "zero", None),
-    ("cache.improved", "min", 3),
 )
 
 

@@ -12,8 +12,8 @@ Failure modes that rot silently:
    a metric table in docs/OBSERVABILITY.md that disagrees with the
    declarations: every declared metric needs a row whose type and label
    set equal its declaration's.
-3. **Stale CLI surface** — docs/OBSERVABILITY.md, docs/OPERATIONS.md or
-   docs/CACHING.md citing an HTTP endpoint the exposition server does not route
+3. **Stale CLI surface** — docs/OBSERVABILITY.md or docs/OPERATIONS.md
+   citing an HTTP endpoint the exposition server does not route
    (``ROUTES`` in ``src/repro/obs/httpexpo.py``) or a ``--flag`` no
    ``add_argument`` in ``src/repro/cli.py`` defines; any doc invoking a
    ``repro <sub>`` subcommand no ``add_parser`` registers; any
@@ -57,6 +57,11 @@ _CODE_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md",
 _RETIRED_METRICS = frozenset((
     "repro_server_calls_total",  # the _count of repro_server_fragment_steps
     "repro_remote_ops_total",  # the _count of repro_remote_exec_seconds
+    # the fragment result cache's counters, removed with the cache
+    "repro_cache_hits_total",
+    "repro_cache_misses_total",
+    "repro_cache_evictions_total",
+    "repro_cache_invalidations_total",
 ))
 #: backticked endpoint paths in docs (`/metrics`, `/healthz`, ...)
 _ENDPOINT_USE = re.compile(r"`(/[a-z][a-z.]*)`")
@@ -141,8 +146,8 @@ def check_metrics(path, text, known, errors):
                 base = base[: -len(suffix)]
                 break
         if base not in known:
-            # brace-expansion shorthand: repro_cache_{hits,misses}_total
-            # scans as the prefix "repro_cache_"; accept it when some
+            # brace-expansion shorthand: repro_remote_{clients,...}
+            # scans as the prefix "repro_remote_"; accept it when some
             # defined metric actually carries that prefix
             if base.endswith("_") and any(k.startswith(base) for k in known):
                 continue
@@ -291,7 +296,7 @@ def main():
             check_callbacks(path, text, callbacks, errors)
         if path.name != "ROADMAP.md":  # the roadmap names future surface
             check_subcommands(path, text, subcommands, errors)
-        if path.name in ("OBSERVABILITY.md", "OPERATIONS.md", "CACHING.md"):
+        if path.name in ("OBSERVABILITY.md", "OPERATIONS.md"):
             check_cli_surface(path, text, routes, flags, errors)
         elif path.name == "TESTING.md":
             check_cli_surface(path, text, routes, flags, errors,
